@@ -6,12 +6,11 @@
 // overheads". This bench measures exactly that: per-task cost with the
 // per-worker descriptor pool vs plain heap allocation, on the two
 // task-flood benchmarks (fib and uts, no application cut-off) — plus the
-// NUMA axis on top of pooling: node-local arenas (descriptors retire to
-// their birth node, RT_NODE_POOLS semantics) vs plain per-worker pools
-// (stolen descriptors drift to the thief's node, counted in the
-// remote_frees column). Set RT_SYNTHETIC_TOPOLOGY=NxM for a deterministic
-// multi-node shape; on one node the two pooled variants are identical by
-// construction.
+// retirement axis on top of pooling: owner-return (every freed descriptor
+// goes back to the worker that carved it, RT_NODE_POOLS semantics) vs
+// recycling into the freer's pool (stolen descriptors drift to the thief,
+// counted across nodes in the remote_frees column). Set
+// RT_SYNTHETIC_TOPOLOGY=NxM for a deterministic multi-node shape.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -124,11 +123,11 @@ int main(int argc, char** argv) {
     bool node_pools;
   };
   // heap vs worker-pooled at every thread point (the PR-1 axis), and on
-  // top of pooling the NUMA retirement discipline A/B at the top thread
-  // count: "pooled" here runs node pools OFF (descriptors drift to the
-  // thief, remote_frees counts them), "node-pooled" ON (birth-node
-  // retirement; remote_frees pinned at zero, stash_high_water shows the
-  // batched flights home). Identical on a single-node topology.
+  // top of pooling the retirement discipline A/B at the top thread count:
+  // "pooled" here runs node pools OFF (descriptors drift to the thief,
+  // remote_frees counts the cross-node share), "node-pooled" ON (owner-
+  // return; remote_frees pinned at zero, stash_high_water shows the
+  // batched returns to the owners).
   for (unsigned threads : {1u, sweep.threads.back()}) {
     std::vector<Variant> variants = {{"pooled", true, false},
                                      {"heap", false, false}};
@@ -172,8 +171,8 @@ int main(int argc, char** argv) {
   std::cout << "\nExpected shape: pooled descriptors cost measurably fewer\n"
                "ns/task than heap allocation, the gap widening with thread\n"
                "count (allocator contention) — the paper's pre-allocation\n"
-               "recommendation. On a multi-node topology, node-pooled should\n"
-               "match pooled within noise while holding remote_frees at 0\n"
-               "(pooled's remote_frees is the descriptor drift it removes).\n";
+               "recommendation. node-pooled should match or beat pooled\n"
+               "while holding remote_frees at 0 (on a multi-node topology,\n"
+               "pooled's remote_frees is the descriptor drift it removes).\n";
   return 0;
 }

@@ -315,11 +315,11 @@ void post_drain_checks(rt::Scheduler& s) {
   check(st.total.pool_home_frees + st.total.pool_remote_frees ==
             st.total.pool_reuse + st.total.pool_fresh,
         "global pool frees != pool allocations");
-  if (s.node_pools_active()) {
-    for (const auto& n : s.node_pool_snapshot()) {
-      check(n.arena_carved == n.arena_free + n.cached + n.in_transit,
-            "node-pool balance broken after drain");
-    }
+  // Empty only with RT_NODE_POOLS=0; owner-return balances on every
+  // topology, flat included.
+  for (const auto& n : s.node_pool_snapshot()) {
+    check(n.arena_carved == n.arena_free + n.cached + n.in_transit,
+          "node-pool balance broken after drain");
   }
 }
 

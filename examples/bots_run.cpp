@@ -55,8 +55,10 @@ void usage() {
       "      --tripwire-pool-locality\n"
       "                        exit nonzero if any descriptor retired into\n"
       "                        a pool off its birth node (pool_remote_frees\n"
-      "                        > 0) — the CI locality guardrail for\n"
-      "                        RT_NODE_POOLS=1 runs (implies --stats)\n"
+      "                        > 0) or rests outside its owner's pool after\n"
+      "                        a region — the CI locality guardrail for\n"
+      "                        RT_NODE_POOLS=1 runs on any topology\n"
+      "                        (implies --stats)\n"
       "      --trace-out <f>   write the per-worker event trace as\n"
       "                        Chrome-trace/perfetto JSON to <f> (implies\n"
       "                        RT_TRACE=1; also --trace-out=<f>)\n"
@@ -572,20 +574,17 @@ int main(int argc, char** argv) {
   }
   if (tripwire_pool_locality) {
     // The locality guardrail mirroring bench_spawn_overhead's zero-alloc
-    // tripwire: with node pools active, a descriptor retiring into a pool
+    // tripwire: with owner-return active, a descriptor retiring into a pool
     // off its birth node is a regression of the whole mechanism — fail
-    // loudly so CI trips instead of the next paper-figure rerun. A
-    // multi-node topology where node pools silently FAILED to activate
-    // (broken knob plumbing, use_task_pool regression) would make the
-    // counter check vacuous, so that is a trip too.
+    // loudly so CI trips instead of the next paper-figure rerun. Owner-
+    // return is active on every topology, so only broken knob plumbing
+    // (RT_NODE_POOLS=0, a use_task_pool regression) can make the checks
+    // below vacuous — and that is a trip too.
     if (!sched.node_pools_active()) {
       std::fprintf(stderr,
-                   "TRIPWIRE: node pools are INACTIVE (%u-node topology, "
-                   "source %s) — the locality guardrail would be vacuous. "
-                   "Run under a multi-node topology (RT_SYNTHETIC_TOPOLOGY="
-                   "2x4) with RT_NODE_POOLS=1 and pooling on.\n",
-                   sched.topology().num_nodes(),
-                   sched.topology().source().c_str());
+                   "TRIPWIRE: node pools are INACTIVE — the locality "
+                   "guardrail would be vacuous. Run with RT_NODE_POOLS=1 "
+                   "and pooling on.\n");
       return 1;
     }
     if (remote_frees > 0) {
@@ -599,9 +598,9 @@ int main(int argc, char** argv) {
     }
     // The counter above guards the retire ROUTING knob; the resting-place
     // balance guards the routing ITSELF (e.g. a stash spliced into the
-    // wrong node's arena keeps the counter at zero but breaks this):
-    // between regions, every descriptor carved from a node's arena must
-    // rest ON that node, with nothing left in transit.
+    // wrong owner's pool keeps the counter at zero but breaks this):
+    // between regions, every descriptor carved by a node's workers must
+    // rest in its owner's pool, with nothing left in transit.
     const auto snap = sched.node_pool_snapshot();
     for (std::size_t n = 0; n < snap.size(); ++n) {
       if (snap[n].in_transit != 0 ||
@@ -609,7 +608,8 @@ int main(int argc, char** argv) {
         std::fprintf(stderr,
                      "TRIPWIRE: pool-locality imbalance on node %zu — "
                      "cached=%zu arena_free=%zu in_transit=%zu != "
-                     "carved=%zu (descriptors rest off their birth node)\n",
+                     "carved=%zu (descriptors rest outside their owner's "
+                     "pool)\n",
                      n, snap[n].cached, snap[n].arena_free,
                      snap[n].in_transit, snap[n].arena_carved);
         return 1;

@@ -311,15 +311,17 @@ struct SchedulerConfig {
   /// is used verbatim (the PR-2 behaviour).
   bool use_adaptive_grain = true;
 
-  /// Node-local descriptor pools (task.hpp NodeArena): descriptor memory is
-  /// carved and first-touched by the OWNING node's workers, and a stolen
-  /// descriptor retires to its *birth node's* arena — not the thief's pool —
-  /// via per-worker outbound stashes flushed home in batches. Without this,
-  /// cross-node steals recycle descriptors into the thief's freelist and
-  /// descriptor memory drifts across the interconnect over time (counted in
-  /// WorkerStats::pool_remote_frees, which this knob drives to zero). On a
-  /// single-node topology — or with use_task_pool off — the knob is inert
-  /// and allocation degenerates to the plain per-worker pools bit-for-bit.
+  /// Owner-return descriptor pools (task.hpp TaskPool), on every topology:
+  /// a descriptor is carved and first-touched by one worker, and when any
+  /// other worker frees it, it goes back to that owner's pool — via
+  /// per-owner stashes spliced onto the owner's lock-free return list in
+  /// batches — not into the freer's pool. Pools then stay bounded by peak
+  /// live descriptors, and descriptor memory stays on its birth node
+  /// (WorkerStats::pool_remote_frees is zero by construction). Off keeps
+  /// the older recycle-into-the-freer's-pool behaviour, as the drift
+  /// reference for bench_ablation_taskpool and the knob-off tests: a worker
+  /// that mostly executes stolen tasks hoards descriptors while the
+  /// generator keeps carving fresh ones. Inert with use_task_pool off.
   /// Also settable via RT_NODE_POOLS=0/1.
   bool use_node_pools = env_flag("RT_NODE_POOLS", true);
 
@@ -400,8 +402,8 @@ struct SchedulerConfig {
   /// at the top of every find_work round (one seq_cst load + a pointer
   /// compare in steady state — no lock, no barrier); the swapper installs a
   /// new snapshot, waits for per-worker epoch quiescence and retires the old
-  /// one. Topology/NUMA-arena swaps stay between-regions only (descriptor
-  /// birth nodes cannot migrate live) — that boundary is in the type system:
+  /// one. Topology swaps stay between-regions only (worker node ids cannot
+  /// change live) — that boundary is in the type system:
   /// reconfigure_live takes no topology. Off: reconfigure_live throws like
   /// the between-regions reconfigure() always has. Also settable via
   /// RT_LIVE_RECONF=0/1.

@@ -33,8 +33,8 @@
 namespace bots::rt {
 
 enum class FaultSite : int {
-  descriptor_alloc = 0,  // TaskPool / NodeArena descriptor hand-out
-  arena_carve,           // NodeArena chunk carve (simulated bad_alloc)
+  descriptor_alloc = 0,  // TaskPool descriptor hand-out
+  arena_carve,           // TaskPool fresh carve (simulated bad_alloc)
   thread_spawn,          // worker std::jthread construction
   pin,                   // worker CPU pinning
   mailbox_push,          // hint-directed RangeMailbox push

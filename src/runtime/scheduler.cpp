@@ -78,7 +78,6 @@ Scheduler::Scheduler(SchedulerConfig cfg)
   fault_.parse(cfg_.fault_plan);
   use_slot_ = cfg_.lifo_slot && cfg_.local_order == LocalOrder::lifo;
   acct_batch_ = cfg_.accounting_batch > 0 ? cfg_.accounting_batch : 1;
-  rebuild_node_pools();
   rebuild_mailboxes();
   {
     std::lock_guard<std::mutex> lock(reconf_mutex_);
@@ -91,7 +90,7 @@ Scheduler::Scheduler(SchedulerConfig cfg)
         this, i, 0x9E3779B97F4A7C15ULL * (i + 1)));
     workers_.back()->node = topo_.node_of(i);
     workers_.back()->victim_buf.resize(cfg_.num_threads);
-    workers_.back()->outbound.resize(topo_.num_nodes());
+    workers_.back()->returns.resize(cfg_.num_threads);
   }
   if (cfg_.trace) {
     tracer_ = std::make_unique<TraceCollector>(cfg_.num_threads,
@@ -133,7 +132,7 @@ void Scheduler::shrink_team(unsigned built) {
   // thread attached and nothing observes their destruction.
   workers_.resize(built);
   // Re-map locality onto the team that actually exists — node ids, hints,
-  // arenas, mailboxes and the policy were all sized for the planned team.
+  // mailboxes and the policy were all sized for the planned team.
   topo_ = Topology::detect(built, cfg_.synthetic_topology);
   {
     // Between regions by construction (shrink happens while the team is
@@ -145,12 +144,7 @@ void Scheduler::shrink_team(unsigned built) {
     w->node = topo_.node_of(w->id);
     w->last_victim = Worker::no_victim;
     w->gated_rounds = 0;
-    w->home_free = nullptr;
-    w->home_free_count = 0;
-    w->stash_in_transit = 0;
-    w->outbound.assign(topo_.num_nodes(), RemoteStash{});
   }
-  rebuild_node_pools();
   rebuild_mailboxes();
   if (tracer_ != nullptr) {
     // Events recorded during the aborted roll-out describe workers that no
@@ -490,8 +484,8 @@ std::pair<std::uint32_t, bool> Scheduler::watchdog_tunables() const {
 
 void Scheduler::dump_stall_report(Region& r) {
   // Stderr, single writer (only the monitor calls this). Reads shared
-  // atomics and mutex-guarded arena counts only — per-worker plain fields
-  // are the workers' property and are deliberately not touched.
+  // atomics only — per-worker plain fields are the workers' property and
+  // are deliberately not touched.
   std::fprintf(stderr,
                "rt: STALL: no task progress for %u ms "
                "(live_tasks=%lld parked=%zu arrived=%u cancel=%s)\n",
@@ -528,11 +522,6 @@ void Scheduler::dump_stall_report(Region& r) {
       std::fprintf(stderr, "rt:   mailbox[node %u]=%zu\n", n,
                    mailboxes_[n].size());
     }
-  }
-  for (std::size_t n = 0; n < arenas_.size(); ++n) {
-    const NodeArena::Counts c = arenas_[n]->counts();
-    std::fprintf(stderr, "rt:   node_pool[%zu]: carved=%zu arena_free=%zu\n",
-                 n, c.carved, c.free_count);
   }
 }
 
@@ -589,11 +578,11 @@ void Scheduler::participate(Worker& w, Region& r) {
 
   barrier_from(w);  // implicit region-end barrier: full task quiescence
 
-  // Every remotely-retired descriptor flies home before the worker leaves:
-  // quiescence means no further disposals, so after this the in-transit
-  // count is exactly zero and the between-regions pool balance (cached +
-  // arena_free == carved, per node) is exact. Each worker flushes its own
-  // stashes — the splices parallelize across the team.
+  // Every descriptor freed off its owner goes back before the worker
+  // leaves: quiescence means no further disposals, so after this the
+  // in-transit count is exactly zero and every descriptor rests in its
+  // owner's pool. Each worker flushes its own stashes — the splices
+  // parallelize across the team.
   flush_outbound_stashes(w);
 
   // Drain this worker's trace ring into the collector's archive: the worker
@@ -642,71 +631,32 @@ bool Scheduler::should_defer(Worker& w, std::uint32_t depth) noexcept {
 }
 
 Task* Scheduler::alloc_task(Worker& w, TaskStorage& storage_out) {
-  // Degradation ladder: pooled rung (node arena or per-worker pool) ->
-  // plain per-descriptor heap rung -> nullptr, which spawn/spawn_if degrade
-  // to serial inline execution. A real bad_alloc and an injected
-  // descriptor_alloc/arena_carve fault take the identical path, so the
-  // fault plan exercises exactly the code OOM would. Counters move only
-  // AFTER an allocation succeeds — a failed rung must not leave phantom
-  // pool_fresh behind, or the frees==allocs invariant breaks.
-  const bool pooled_cfg = !arenas_.empty() || cfg_.use_task_pool;
-  if (pooled_cfg && !inject(&w, FaultSite::descriptor_alloc)) {
-    if (!arenas_.empty()) {
-      // Node-local pools: serve from this worker's private cache of
-      // home-node descriptors; refill in one batched arena pop when it runs
-      // dry. Only the node's own workers ever allocate here, so every
-      // descriptor handed out was carved — and its pages first-touched —
-      // on this node.
-      Task* t = w.home_free;
-      if (t == nullptr) {
-        std::size_t got = 0;
-        t = arenas_[w.node]->take_chain(NodeArena::refill_batch, got);
-        if (t == nullptr) {
-          if (!inject(&w, FaultSite::arena_carve)) {
-            try {
-              Task* fresh = arenas_[w.node]->carve();  // placement-new HERE
-              ++w.stats.pool_fresh;
-              storage_out = TaskStorage::pooled;
-              return fresh;
-            } catch (const std::bad_alloc&) {
-              // fall through to the heap rung
-            }
-          }
-          t = nullptr;
-        } else {
-          w.home_free_count = got;
-        }
-      }
-      if (t != nullptr) {
-        w.home_free = t->pool_next;
-        --w.home_free_count;
-        t->pool_next = nullptr;
-        t->reset_for_reuse();
-        ++w.stats.pool_reuse;
+  // Degradation ladder: pooled rung -> plain per-descriptor heap rung ->
+  // nullptr, which spawn/spawn_if degrade to serial inline execution. A
+  // real bad_alloc and an injected descriptor_alloc/arena_carve fault take
+  // the identical path, so the fault plan exercises exactly the code OOM
+  // would. Counters move only AFTER an allocation succeeds — a failed rung
+  // must not leave phantom pool_fresh behind, or the frees==allocs
+  // invariant breaks.
+  if (cfg_.use_task_pool && !inject(&w, FaultSite::descriptor_alloc)) {
+    if (Task* t = w.pool.reuse()) {
+      ++w.stats.pool_reuse;
+      storage_out = TaskStorage::pooled;
+      return t;
+    }
+    if (!inject(&w, FaultSite::arena_carve)) {
+      try {
+        // Carved — and first-touched — on this worker's own thread.
+        Task* t = w.pool.carve(w.id);
+        ++w.stats.pool_fresh;
         storage_out = TaskStorage::pooled;
         return t;
-      }
-    } else {
-      bool reused = false;
-      Task* t = nullptr;
-      try {
-        t = w.pool.allocate(reused);
       } catch (const std::bad_alloc&) {
         // fall through to the heap rung
       }
-      if (t != nullptr) {
-        if (reused) {
-          ++w.stats.pool_reuse;
-        } else {
-          ++w.stats.pool_fresh;
-          t->set_home_node(w.node);  // birth node of the fresh chunk slot
-        }
-        storage_out = TaskStorage::pooled;
-        return t;
-      }
     }
   }
-  if (pooled_cfg) ++w.stats.pool_alloc_fallbacks;
+  if (cfg_.use_task_pool) ++w.stats.pool_alloc_fallbacks;
   // Heap rung: the configured allocator when pooling is off, the graceful
   // fallback otherwise. Fallback descriptors deliberately skip pool_fresh —
   // dispose() deletes them without a matching free count, and the pool
@@ -714,8 +664,8 @@ Task* Scheduler::alloc_task(Worker& w, TaskStorage& storage_out) {
   if (!inject(&w, FaultSite::descriptor_alloc)) {
     try {
       Task* t = new Task();
-      t->set_home_node(w.node);
-      if (!pooled_cfg) ++w.stats.pool_fresh;
+      t->set_owner(w.id);
+      if (!cfg_.use_task_pool) ++w.stats.pool_fresh;
       storage_out = TaskStorage::heap;
       return t;
     } catch (const std::bad_alloc&) {
@@ -728,52 +678,26 @@ Task* Scheduler::alloc_task(Worker& w, TaskStorage& storage_out) {
 void Scheduler::dispose(Worker& w, Task& t) noexcept {
   switch (t.storage()) {
     case TaskStorage::pooled: {
-      if (!arenas_.empty()) {
-        const unsigned home = t.home_node();
-        if (home == w.node) {
-          ++w.stats.pool_home_frees;
-          t.pool_next = w.home_free;
-          w.home_free = &t;
-          if (++w.home_free_count >= NodeArena::cache_spill) {
-            // Spill a refill batch back to the shared arena so a same-node
-            // sibling that mostly ALLOCATES (a generator this worker
-            // consumes for) reuses this memory instead of carving fresh
-            // chunks without bound (see NodeArena::cache_spill). The cache
-            // is newest-first, so KEEP its head half (lines still hot in
-            // this worker's cache) and hand the stale tail half over.
-            Task* keep_tail = w.home_free;
-            for (std::size_t i = 1; i < NodeArena::refill_batch; ++i) {
-              keep_tail = keep_tail->pool_next;
-            }
-            Task* spill_head = keep_tail->pool_next;
-            keep_tail->pool_next = nullptr;
-            const std::size_t spilled =
-                w.home_free_count - NodeArena::refill_batch;
-            Task* spill_tail = spill_head;
-            for (std::size_t i = 1; i < spilled; ++i) {
-              spill_tail = spill_tail->pool_next;
-            }
-            w.home_free_count = NodeArena::refill_batch;
-            arenas_[home]->put_chain(spill_head, spill_tail, spilled);
-          }
-        } else {
-          // Remote-born (a stolen task finishing here): stage the batched
-          // flight back to the birth arena. The retirement target is still
-          // the home node — this never counts as a remote free.
-          ++w.stats.pool_home_frees;
-          RemoteStash& s = w.outbound[home];
-          s.push(&t);
-          if (++w.stash_in_transit > w.stats.pool_migrations) {
-            w.stats.pool_migrations = w.stash_in_transit;  // high-water
-          }
-          if (s.count >= RemoteStash::flush_batch) flush_stash(w, home);
+      const unsigned owner = t.owner();
+      if (owner == w.id) {
+        ++w.stats.pool_home_frees;
+        w.pool.recycle(&t);
+      } else if (node_pools_active()) {
+        // Owner-return: stage the batched trip back to the owner's pool.
+        // The descriptor still retires to its birth pool, so this never
+        // counts as a remote free.
+        ++w.stats.pool_home_frees;
+        RemoteStash& s = w.returns[owner];
+        s.push(&t);
+        if (++w.stash_in_transit > w.stats.pool_migrations) {
+          w.stats.pool_migrations = w.stash_in_transit;  // high-water
         }
+        if (s.count >= RemoteStash::flush_batch) flush_stash(w, owner);
       } else {
-        // Per-worker pools (the seed behaviour): recycle into THIS
-        // worker's freelist wherever the descriptor was born — and count
-        // the cross-node drift that causes, so the A/B against node pools
-        // is measurable.
-        if (t.home_node() == w.node) {
+        // Drift reference (knob off): recycle into THIS worker's freelist
+        // wherever the descriptor was born, and count the cross-node drift
+        // that causes.
+        if (topo_.node_of(owner) == w.node) {
           ++w.stats.pool_home_frees;
         } else {
           ++w.stats.pool_remote_frees;
@@ -792,20 +716,18 @@ void Scheduler::dispose(Worker& w, Task& t) noexcept {
   }
 }
 
-void Scheduler::flush_stash(Worker& w, unsigned node) noexcept {
-  RemoteStash& s = w.outbound[node];
+void Scheduler::flush_stash(Worker& w, unsigned owner) noexcept {
+  RemoteStash& s = w.returns[owner];
   if (s.count == 0) return;
-  arenas_[node]->put_chain(s.head, s.tail, s.count);
+  workers_[owner]->pool.give_back(s.head, s.tail);
   w.stash_in_transit -= s.count;
-  s.head = nullptr;
-  s.tail = nullptr;
-  s.count = 0;
+  s = RemoteStash{};
 }
 
 void Scheduler::flush_outbound_stashes(Worker& w) noexcept {
-  if (arenas_.empty()) return;
-  for (unsigned n = 0; n < static_cast<unsigned>(w.outbound.size()); ++n) {
-    flush_stash(w, n);
+  if (w.stash_in_transit == 0) return;
+  for (unsigned o = 0; o < static_cast<unsigned>(w.returns.size()); ++o) {
+    flush_stash(w, o);
   }
 }
 
@@ -926,7 +848,7 @@ void Scheduler::publish_range_half(Worker& w, Task& t) {
       ++w.stats.range_halves_redirected;
       account_spawn(w);
       if (RegionCtx* c = t.ctx()) c->note_deferred();
-      trace_record(w.ring, TraceEvent::mailbox, t.home_node(),
+      trace_record(w.ring, TraceEvent::mailbox, topo_.node_of(t.owner()),
                    trace_pack_nodes(target, w.node));
       mailboxes_[target].push(&t);
       // The gift IS work on that node now: set its word, both so remote
@@ -1664,21 +1586,6 @@ Scheduler::Telemetry Scheduler::telemetry() const noexcept {
   return t;
 }
 
-void Scheduler::rebuild_node_pools() {
-  // One arena per node, but only when node pools can matter: pooling on
-  // and more than one locality domain. Otherwise the vector stays empty
-  // and alloc/dispose take exactly the per-worker TaskPool path — the
-  // flat-topology degeneration is structural, not a runtime branch per
-  // field.
-  arenas_.clear();
-  if (cfg_.use_node_pools && cfg_.use_task_pool && topo_.num_nodes() > 1) {
-    arenas_.reserve(topo_.num_nodes());
-    for (unsigned n = 0; n < topo_.num_nodes(); ++n) {
-      arenas_.push_back(std::make_unique<NodeArena>(n));
-    }
-  }
-}
-
 void Scheduler::rebuild_mailboxes() {
   // Mailboxes exist only where the placement decision could ever fire:
   // knob on, multi-node, hints enabled. Deliberately NOT gated on the
@@ -1695,16 +1602,17 @@ void Scheduler::rebuild_mailboxes() {
 
 std::vector<Scheduler::NodePoolSnapshot> Scheduler::node_pool_snapshot()
     const {
-  std::vector<NodePoolSnapshot> snap(arenas_.size());
-  for (std::size_t n = 0; n < arenas_.size(); ++n) {
-    const NodeArena::Counts c = arenas_[n]->counts();
-    snap[n].arena_free = c.free_count;
-    snap[n].arena_carved = c.carved;
-  }
+  std::vector<NodePoolSnapshot> snap;
+  if (!node_pools_active()) return snap;
+  snap.resize(topo_.num_nodes());
   for (const auto& w : workers_) {
-    if (w->node < snap.size()) snap[w->node].cached += w->home_free_count;
-    for (std::size_t n = 0; n < w->outbound.size() && n < snap.size(); ++n) {
-      snap[n].in_transit += w->outbound[n].count;
+    const TaskPool::Counts c = w->pool.counts();
+    NodePoolSnapshot& n = snap[topo_.node_of(w->id)];
+    n.cached += c.free;
+    n.arena_free += c.returned;
+    n.arena_carved += c.carved;
+    for (unsigned o = 0; o < static_cast<unsigned>(w->returns.size()); ++o) {
+      snap[topo_.node_of(o)].in_transit += w->returns[o].count;
     }
   }
   return snap;
@@ -1774,7 +1682,7 @@ void Scheduler::reconfigure(StealPolicyKind kind,
   {
     // Checked in every build mode, not just the debug assert: reconfigure
     // under a live region (including the resident server region) would
-    // rebuild arenas whose descriptors are still in flight and re-map node
+    // rebuild mailboxes whose halves are still in flight and re-map node
     // ids under workers that are using them — silent memory corruption in
     // release builds before this guard.
     std::lock_guard<std::mutex> lock(region_mutex_);
@@ -1803,16 +1711,7 @@ void Scheduler::reconfigure(StealPolicyKind kind,
     w->node = topo_.node_of(w->id);
     w->last_victim = Worker::no_victim;
     w->gated_rounds = 0;
-    // Node-pool caches and stashes hold pointers into the OLD arenas'
-    // chunks, which die with rebuild_node_pools below: drop them first.
-    // Between regions every descriptor is dead, so dropping loses nothing
-    // but recycled memory the new arenas will re-carve.
-    w->home_free = nullptr;
-    w->home_free_count = 0;
-    w->stash_in_transit = 0;
-    w->outbound.assign(topo_.num_nodes(), RemoteStash{});
   }
-  rebuild_node_pools();
   rebuild_mailboxes();
   if (pin_generation_ != 0) ++pin_generation_;  // re-pin at next region entry
   // Frozen task graphs recorded under the old shape (team, topology,

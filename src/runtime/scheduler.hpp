@@ -84,17 +84,16 @@
 //   check always splits). enqueue routes range tasks past the private LIFO
 //   slot so a freshly published half is immediately stealable. Knob:
 //   use_range_tasks (consumed by the loop-style kernels).
-// * NUMA-honest descriptor memory (use_node_pools, multi-node topologies):
-//   descriptors come from per-node arenas (task.hpp NodeArena) fronted by a
-//   private per-worker cache — carved and first-touched only by the owning
-//   node's (pinned) workers — and a descriptor finishing on a FOREIGN node
-//   retires to its birth node's arena through a per-worker outbound stash
-//   flushed home in batches (RemoteStash), never into the thief's pool.
-//   Descriptor memory therefore stops migrating across the interconnect as
-//   tasks are stolen (pool_home_frees / pool_remote_frees / pool_migrations
-//   count it; remote frees are zero by construction with the knob on). On a
-//   single-node topology allocation degenerates to the per-worker TaskPool
-//   path bit-for-bit.
+// * Owner-return descriptor memory (use_node_pools, every topology): each
+//   descriptor is carved — and first-touched — by one worker's TaskPool and
+//   records that worker as its owner. A descriptor finishing on any other
+//   worker is stashed per owner (RemoteStash) and spliced back onto the
+//   owner's lock-free return list in batches, never into the thief's pool.
+//   Pools therefore stay bounded by peak live descriptors even when one
+//   worker generates and others execute, and descriptor memory never
+//   migrates across the interconnect (pool_home_frees / pool_remote_frees /
+//   pool_migrations count it; remote frees are zero by construction with
+//   the knob on).
 // * Hint-aware range placement (use_hint_placement): when a range splitter
 //   sits on a node whose has-work word is set (local surplus) while a
 //   remote node's word is clear (provably hungry), the split-off upper half
@@ -151,8 +150,8 @@
 // exception with cfg.cancel_on_exception. The monitor thread (deadline +
 // watchdog) samples per-worker progress atomics and live_tasks only.
 //
-// Degradation ladder (PR 6): descriptor allocation falls from the pool /
-// node-arena rung to a plain per-descriptor heap rung
+// Degradation ladder: descriptor allocation falls from the pool
+// rung to a plain per-descriptor heap rung
 // (pool_alloc_fallbacks) to serial inline execution on the spawner's frame
 // (tasks_degraded_inline) instead of aborting; a worker thread that cannot
 // be spawned at construction shrinks the team and re-maps the topology
@@ -278,12 +277,11 @@ struct Region {
 /// generation may act on stale ADVICE for at most one pin interval, which
 /// is safe: no conservation law depends on which policy routed a task.
 ///
-/// NOT in the snapshot, deliberately: Topology, NodeArenas, the mailbox
-/// array and the team itself. Descriptor birth nodes cannot migrate while
-/// descriptors are in flight, so topology/arena swaps stay between-regions
-/// only — reconfigure_live() takes no topology parameter (the boundary is
-/// in the type system, not a runtime throw; use reconfigure() between
-/// regions for those).
+/// NOT in the snapshot, deliberately: Topology, the mailbox array and the
+/// team itself. Worker node ids cannot change while descriptors are in
+/// flight, so topology swaps stay between-regions only — reconfigure_live()
+/// takes no topology parameter (the boundary is in the type system, not a
+/// runtime throw; use reconfigure() between regions for those).
 struct PolicySnapshot {
   /// Generation number, 1-based, strictly increasing; mirrors
   /// Scheduler::snap_version_ at publication time.
@@ -344,20 +342,14 @@ class Worker {
   /// cost is a single predictable branch. Owned by the Scheduler's
   /// TraceCollector; wired at construction and after team shrink.
   TraceRing* ring = nullptr;
-  // -- node-local descriptor pool state (cfg.use_node_pools; see the
-  // -- NodeArena/RemoteStash notes in task.hpp). Only used while the
-  // -- scheduler's node pools are active (multi-node topology).
-  /// Private cache of recycled home-node descriptors: the lock-free front
-  /// end of this worker's node arena, refilled/returned in batches.
-  Task* home_free = nullptr;
-  std::size_t home_free_count = 0;
-  /// Descriptors currently parked across ALL outbound stashes (drives the
+  /// Descriptors freed here but owned by another worker, one stash per
+  /// owner, indexed by worker id (the own slot stays unused; see the
+  /// TaskPool/RemoteStash notes in task.hpp). Used under cfg.use_node_pools;
+  /// sized by the Scheduler constructor.
+  std::vector<RemoteStash> returns;
+  /// Descriptors currently parked across all of `returns` (drives the
   /// pool_migrations high-water stat).
   std::size_t stash_in_transit = 0;
-  /// One outbound retirement stash per node, indexed by a dead
-  /// descriptor's birth node (own-node slot stays unused). Sized by the
-  /// Scheduler constructor and reconfigure().
-  std::vector<RemoteStash> outbound;
   std::vector<Task*> tied_stack;  ///< tied tasks suspended at taskwait
   /// Length of the leading tied_stack prefix verified to be an ancestor
   /// chain (each entry a descendant of the one below). While the whole
@@ -626,24 +618,24 @@ class Scheduler {
     return snap_version_.load(std::memory_order_acquire);
   }
 
-  /// Whether descriptor memory is node-honest in THIS configuration:
-  /// cfg.use_node_pools with a pooled, multi-node setup. On one node (or
-  /// with use_task_pool off) the knob is inert and allocation is exactly
-  /// the per-worker pool path.
+  /// Whether every freed descriptor returns to its owner's pool in THIS
+  /// configuration: cfg.use_node_pools with use_task_pool on, on any
+  /// topology.
   [[nodiscard]] bool node_pools_active() const noexcept {
-    return !arenas_.empty();
+    return cfg_.use_node_pools && cfg_.use_task_pool;
   }
 
-  /// Between-regions view of one node's descriptor pool, for tests and the
-  /// locality tripwire: where every descriptor carved from the node's
-  /// arena currently rests. After a region (workers flush their outbound
+  /// Between-regions view of the descriptor pools of one node's workers,
+  /// for tests and the locality tripwire: where every descriptor carved by
+  /// those workers currently rests. After a region (workers flush their
   /// stashes before leaving) in_transit is 0 and cached + arena_free ==
-  /// arena_carved — every remote-born free has landed home.
+  /// arena_carved — every descriptor is back in its owner's pool. Empty
+  /// when node_pools_active() is false.
   struct NodePoolSnapshot {
-    std::size_t arena_free = 0;    ///< on the node arena's freelist
-    std::size_t arena_carved = 0;  ///< ever constructed from this arena
-    std::size_t cached = 0;        ///< in the node's workers' home caches
-    std::size_t in_transit = 0;    ///< stashed toward this node, unflushed
+    std::size_t arena_free = 0;    ///< on the owners' return lists
+    std::size_t arena_carved = 0;  ///< ever carved by the node's workers
+    std::size_t cached = 0;        ///< on the owners' private freelists
+    std::size_t in_transit = 0;    ///< stashed toward the node's owners
   };
   [[nodiscard]] std::vector<NodePoolSnapshot> node_pool_snapshot() const;
 
@@ -670,8 +662,7 @@ class Scheduler {
   /// valid while a region runs — including the resident server region — and
   /// that is a CHECKED error: a live region raises std::logic_error
   /// (previously a debug-only assert; a release-build reconfigure under a
-  /// live region silently rebuilt arenas whose descriptors were still in
-  /// flight). Rebuilds the
+  /// live region silently rebuilt structures still in use). Rebuilds the
   /// Topology, the policy and the node hints, refreshes every worker's
   /// cached node id and clears the per-worker victim/backoff hints — a
   /// last_victim or node id learned under the old configuration is
@@ -836,10 +827,9 @@ class Scheduler {
   /// to `version` — after which no worker can still dereference any older
   /// generation.
   void wait_quiescent(std::uint64_t version) noexcept;
-  void rebuild_node_pools();
   void rebuild_mailboxes();
   void dispose(Worker& w, Task& t) noexcept;
-  void flush_stash(Worker& w, unsigned node) noexcept;
+  void flush_stash(Worker& w, unsigned owner) noexcept;
   void flush_outbound_stashes(Worker& w) noexcept;
   void account_spawn(Worker& w) noexcept;
   Task* take_mailed(Worker& w, bool scavenge);
@@ -864,10 +854,6 @@ class Scheduler {
 
   SchedulerConfig cfg_;
   Topology topo_;
-  /// One descriptor arena per node (task.hpp); empty when node pools are
-  /// inert (knob off, single node, or use_task_pool off) — allocation then
-  /// degenerates to the per-worker TaskPool path bit-for-bit.
-  std::vector<std::unique_ptr<NodeArena>> arenas_;
   /// One range mailbox per node; null when hint placement could never fire
   /// (knob off, hints knob off, or single node). Existence is decoupled
   /// from the CURRENT policy kind on purpose: a live swap to hierarchical

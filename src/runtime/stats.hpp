@@ -36,20 +36,21 @@ struct alignas(cache_line_bytes) WorkerStats {
   std::uint64_t env_bytes = 0;            ///< captured-environment bytes (Table II)
   std::uint64_t pool_reuse = 0;           ///< descriptor allocations served by the freelist
   std::uint64_t pool_fresh = 0;           ///< descriptor allocations that hit the chunk allocator
-  /// Descriptor frees that retired to the BIRTH node (the node whose arena
-  /// chunk the memory was carved and first-touched on) — directly into this
-  /// worker's home cache, or batched home through an outbound stash.
+  /// Descriptor frees that retired to a pool on the descriptor's BIRTH node
+  /// (the node of the worker that carved it): straight onto the owner's
+  /// freelist when the owner frees it, else stashed in transit to the owner
+  /// (use_node_pools), or — knob off — into a same-node freer's pool.
   std::uint64_t pool_home_frees = 0;
   /// Descriptor frees that landed in a pool on a node OTHER than the birth
-  /// node — the cross-socket memory drift node pools exist to remove. With
-  /// use_node_pools on this is zero by construction (the CI locality
+  /// node — the cross-socket memory drift owner-return exists to remove.
+  /// With use_node_pools on this is zero by construction (the CI locality
   /// tripwire enforces it); with the knob off it counts every descriptor a
   /// cross-node thief recycled into its own freelist.
   std::uint64_t pool_remote_frees = 0;
   /// High-water mark of descriptors simultaneously parked in this worker's
-  /// outbound stashes (retired remotely, awaiting the batched flight back
-  /// to their birth node's arena). Aggregated by MAX, not sum: the snapshot
-  /// total reports the worst single-worker in-transit backlog.
+  /// stashes, in transit to the owner (freed here, awaiting the batched
+  /// splice onto the owner's return list). Aggregated by MAX, not sum: the
+  /// snapshot total reports the worst single-worker in-transit backlog.
   std::uint64_t pool_migrations = 0;
 
   // -- fault-tolerance counters (PR 6) --------------------------------------
@@ -63,7 +64,7 @@ struct alignas(cache_line_bytes) WorkerStats {
   /// cancelled (no descriptor was retired; the closure simply never ran).
   std::uint64_t tasks_discarded_inline = 0;
   /// Descriptor allocations that fell back to a plain per-descriptor heap
-  /// allocation because the pool/arena rung failed (real or injected
+  /// allocation because the pool rung failed (real or injected
   /// bad_alloc).
   std::uint64_t pool_alloc_fallbacks = 0;
   /// Spawns degraded to serial inline execution because no descriptor could

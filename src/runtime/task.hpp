@@ -18,7 +18,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <new>
 #include <utility>
 #include <vector>
@@ -36,7 +35,7 @@ struct DepNode;   // dependence-tracking side structure (dependency.hpp)
 /// released when the last reference drops.
 enum class TaskStorage : std::uint8_t {
   stack_frame,  ///< implicit/root task living on a worker's stack; never freed
-  pooled,       ///< from a per-worker TaskPool; recycled to the releasing worker
+  pooled,       ///< carved by a worker's TaskPool; freed back to a pool
   heap,         ///< plain new/delete (use_task_pool = false)
   graph         ///< owned by a frozen TaskGraph; reset in place per replay
 };
@@ -212,9 +211,9 @@ class Task {
   /// path with. Only the fields init_env/set_links do not overwrite need
   /// resetting: the fused state word (refs back to 1, children 0) and the
   /// environment pointer (so a stray destroy_env on an uninitialised
-  /// descriptor stays a no-op). home_node_ deliberately survives: the birth
-  /// node is a property of the descriptor's MEMORY (where its chunk was
-  /// carved and first-touched), not of any one use.
+  /// descriptor stays a no-op). owner_ deliberately survives: the owner is
+  /// a property of the descriptor's MEMORY (whose chunk it was carved from),
+  /// not of any one use.
   void reset_for_reuse() noexcept {
     env_ = nullptr;
     range_ = nullptr;
@@ -229,13 +228,13 @@ class Task {
   [[nodiscard]] DepNode* dep() const noexcept { return dep_; }
   void set_dep(DepNode* d) noexcept { dep_ = d; }
 
-  /// Locality node whose chunk this descriptor's memory was carved on (set
-  /// once, at construction). The retire path routes the descriptor back to
-  /// this node's arena under SchedulerConfig::use_node_pools, and counts a
-  /// pool_remote_free whenever a free lands anywhere else.
-  [[nodiscard]] std::uint16_t home_node() const noexcept { return home_node_; }
-  void set_home_node(unsigned node) noexcept {
-    home_node_ = static_cast<std::uint16_t>(node);
+  /// Worker whose TaskPool carved this descriptor (set once, at carve; the
+  /// allocating worker for heap descriptors). Under SchedulerConfig::
+  /// use_node_pools a freed descriptor always returns to this worker's pool;
+  /// its locality node is Topology::node_of(owner()).
+  [[nodiscard]] std::uint16_t owner() const noexcept { return owner_; }
+  void set_owner(unsigned worker) noexcept {
+    owner_ = static_cast<std::uint16_t>(worker);
   }
 
   /// True when `ancestor` appears on this task's parent chain.
@@ -268,7 +267,7 @@ class Task {
   Tiedness tied_ = Tiedness::tied;
   TaskStorage storage_ = TaskStorage::stack_frame;
   bool heap_env_ = false;
-  std::uint16_t home_node_ = 0;  ///< birth node of this descriptor's memory
+  std::uint16_t owner_ = 0;  ///< worker whose pool carved this descriptor
   alignas(std::max_align_t) std::byte inline_env_[inline_env_capacity];
 };
 
@@ -290,10 +289,20 @@ struct TaskOpsFor {
 
 }  // namespace detail
 
-/// Per-worker freelist of task descriptors. Allocation and recycling happen
-/// on whichever worker runs them; descriptors migrate between pools when a
-/// task is stolen, which keeps the pools roughly balanced. All chunk memory
-/// is owned here and released when the worker is destroyed.
+/// Per-worker pool of task descriptors. Only the owning worker carves from
+/// it, and every descriptor it carves records that worker as its owner
+/// (Task::owner). Under SchedulerConfig::use_node_pools a freed descriptor
+/// always comes back to its owner's pool: the owner recycles its own frees
+/// onto the private freelist, and any other worker stashes them
+/// (RemoteStash) and splices whole batches onto the lock-free return list,
+/// which the owner takes in one exchange when its freelist runs dry. A pool
+/// therefore holds at most its owner's peak live descriptors plus the ones
+/// in transit, however the tasks were stolen, and the memory stays on the
+/// node of the thread that first touched it. With the knob off the freeing
+/// worker recycles into its OWN pool instead (the drift reference): pools
+/// then grow without bound whenever one worker generates and others execute.
+/// All chunk memory is owned here and released when the worker is
+/// destroyed.
 class TaskPool {
  public:
   static constexpr std::size_t chunk_tasks = 64;
@@ -308,27 +317,68 @@ class TaskPool {
     }
   }
 
-  /// `reused` reports whether the freelist served the request (pool_reuse
-  /// vs pool_fresh statistics; bench_ablation_taskpool relies on them).
-  Task* allocate(bool& reused) {
-    if (free_ != nullptr) {
-      Task* t = free_;
-      free_ = t->pool_next;
-      t->pool_next = nullptr;
-      t->reset_for_reuse();
-      reused = true;
-      return t;
+  /// Owner only: a recycled descriptor, reset for reuse — from the private
+  /// freelist or, when that is empty, from the return list taken whole in
+  /// one exchange. nullptr when both are empty; the caller carves then.
+  Task* reuse() noexcept {
+    Task* t = free_;
+    if (t == nullptr) {
+      // Only the owner ever empties the return list, so a non-null load
+      // guarantees the exchange below takes a non-empty chain.
+      if (returned_.load(std::memory_order_relaxed) == nullptr) return nullptr;
+      t = returned_.exchange(nullptr, std::memory_order_acquire);
     }
-    reused = false;
-    if (next_in_chunk_ >= chunk_tasks) refill();
-    Task* slot = chunk_cursor_ + next_in_chunk_;
-    ++next_in_chunk_;
-    return ::new (static_cast<void*>(slot)) Task();
+    free_ = t->pool_next;
+    t->pool_next = nullptr;
+    t->reset_for_reuse();
+    return t;
   }
 
+  /// Owner only: construct a fresh descriptor owned by worker `owner`.
+  /// Throws bad_alloc with the pool unchanged when a new chunk is needed
+  /// and cannot be had.
+  Task* carve(unsigned owner) {
+    if (next_in_chunk_ >= chunk_tasks) refill();
+    Task* t = ::new (static_cast<void*>(chunk_cursor_ + next_in_chunk_)) Task();
+    ++next_in_chunk_;
+    t->set_owner(owner);
+    return t;
+  }
+
+  /// The pool's worker only: push a dead descriptor onto the private
+  /// freelist.
   void recycle(Task* t) noexcept {
     t->pool_next = free_;
     free_ = t;
+  }
+
+  /// Any thread: splice the dead pool_next chain [head..tail], all carved
+  /// by this pool, onto the return list in one CAS.
+  void give_back(Task* head, Task* tail) noexcept {
+    Task* old = returned_.load(std::memory_order_relaxed);
+    do {
+      tail->pool_next = old;
+    } while (!returned_.compare_exchange_weak(old, head,
+                                              std::memory_order_release,
+                                              std::memory_order_relaxed));
+  }
+
+  /// Between regions only (tests, node_pool_snapshot): descriptors on the
+  /// private freelist and on the return list, and the total ever carved.
+  struct Counts {
+    std::size_t free = 0;
+    std::size_t returned = 0;
+    std::size_t carved = 0;
+  };
+  [[nodiscard]] Counts counts() const noexcept {
+    Counts c;
+    for (const Task* t = free_; t != nullptr; t = t->pool_next) ++c.free;
+    for (const Task* t = returned_.load(std::memory_order_acquire);
+         t != nullptr; t = t->pool_next) {
+      ++c.returned;
+    }
+    c.carved = chunks_.size() * chunk_tasks + next_in_chunk_ - chunk_tasks;
+    return c;
   }
 
  private:
@@ -350,137 +400,18 @@ class TaskPool {
   Task* chunk_cursor_ = nullptr;
   std::size_t next_in_chunk_ = chunk_tasks;
   std::vector<std::byte*> chunks_;
+  /// Written by every worker that returns descriptors: on its own cache
+  /// line, away from the owner's hot freelist fields.
+  alignas(cache_line_bytes) std::atomic<Task*> returned_{nullptr};
 };
 
-/// Shared descriptor arena for ONE locality node (SchedulerConfig::
-/// use_node_pools). The per-worker fast path stays lock-free: each worker
-/// keeps a private cache of home-node descriptors (Worker::home_free) and
-/// only touches the arena in batches — a refill chain when the cache runs
-/// dry, a stash flush when remotely-retired descriptors fly home — so the
-/// mutex here guards whole-batch splices, never per-task traffic.
-///
-/// First-touch discipline: only the node's own (pinned) workers ever carve
-/// fresh descriptors from this arena, and construction (the placement-new
-/// that first writes the slot) happens on the carving worker's thread —
-/// outside the lock — so under first-touch NUMA policy every chunk's pages
-/// fault in on the node that will keep reusing them. Remote workers only
-/// ever *return* descriptors here (put_chain), which writes one link word
-/// per task; the descriptor bodies are next rewritten by home workers.
-class NodeArena {
- public:
-  static constexpr std::size_t chunk_tasks = TaskPool::chunk_tasks;
-  /// Descriptors a worker cache pulls per refill: big enough to amortize
-  /// the lock far below per-spawn cost, small enough not to strand the
-  /// node's freelist in one worker's private cache.
-  static constexpr std::size_t refill_batch = 16;
-  /// Home-cache spill threshold: when a worker's private cache reaches
-  /// this, it splices refill_batch descriptors back to the arena. Without
-  /// the spill, an intra-node producer-consumer pattern (worker A spawns,
-  /// same-node worker B executes and frees) grows B's cache by one per
-  /// task while A carves fresh chunks forever — arena memory O(total
-  /// tasks) instead of O(peak live). Balanced alloc/free never reaches
-  /// the threshold, so the recursion hot path pays one compare.
-  static constexpr std::size_t cache_spill = 2 * refill_batch;
-
-  explicit NodeArena(unsigned node) noexcept : node_(node) {}
-  NodeArena(const NodeArena&) = delete;
-  NodeArena& operator=(const NodeArena&) = delete;
-
-  ~NodeArena() {
-    for (auto& chunk : chunks_) {
-      ::operator delete[](chunk, std::align_val_t{alignof(Task)});
-    }
-  }
-
-  /// Pop up to `max` recycled descriptors as a pool_next chain (most
-  /// recently freed first); writes the count to `got`. Returns nullptr
-  /// (got = 0) when the freelist is empty — the caller carves fresh then.
-  [[nodiscard]] Task* take_chain(std::size_t max, std::size_t& got) {
-    std::lock_guard<std::mutex> lock(mu_);
-    got = 0;
-    if (free_ == nullptr) return nullptr;
-    Task* head = free_;
-    Task* tail = head;
-    got = 1;
-    while (got < max && tail->pool_next != nullptr) {
-      tail = tail->pool_next;
-      ++got;
-    }
-    free_ = tail->pool_next;
-    tail->pool_next = nullptr;
-    free_count_ -= got;
-    return head;
-  }
-
-  /// Splice a pool_next chain of `n` descriptors [head..tail] onto the
-  /// freelist: the batched retirement flight home (one lock per stash
-  /// flush, not per task). Every descriptor must have been carved HERE.
-  void put_chain(Task* head, Task* tail, std::size_t n) noexcept {
-    std::lock_guard<std::mutex> lock(mu_);
-    tail->pool_next = free_;
-    free_ = head;
-    free_count_ += n;
-  }
-
-  /// Construct one fresh descriptor (freelist empty). The slot is claimed
-  /// under the lock; the placement-new — the first write to the memory, the
-  /// touch that places the page — runs on the caller's thread outside it.
-  [[nodiscard]] Task* carve() {
-    Task* slot = nullptr;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (next_in_chunk_ >= chunk_tasks) {
-        // Reserve-then-allocate, as in TaskPool::refill: the push_back
-        // cannot throw once the slot is reserved, so a bad_alloc unwinds
-        // with the arena state (cursor, carved_) untouched and no chunk
-        // leaked — the caller's degradation ladder takes over.
-        chunks_.reserve(chunks_.size() + 1);
-        void* raw = ::operator new[](sizeof(Task) * chunk_tasks,
-                                     std::align_val_t{alignof(Task)});
-        chunk_cursor_ = static_cast<Task*>(raw);
-        chunks_.push_back(static_cast<std::byte*>(raw));
-        next_in_chunk_ = 0;
-      }
-      slot = chunk_cursor_ + next_in_chunk_;
-      ++next_in_chunk_;
-      ++carved_;
-    }
-    Task* t = ::new (static_cast<void*>(slot)) Task();
-    t->set_home_node(node_);
-    return t;
-  }
-
-  /// Between-regions introspection (tests, node_pool_snapshot): descriptors
-  /// currently on the freelist and total ever carved from this arena.
-  struct Counts {
-    std::size_t free_count = 0;
-    std::size_t carved = 0;
-  };
-  [[nodiscard]] Counts counts() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return {free_count_, carved_};
-  }
-
-  [[nodiscard]] unsigned node() const noexcept { return node_; }
-
- private:
-  mutable std::mutex mu_;
-  Task* free_ = nullptr;
-  std::size_t free_count_ = 0;
-  std::size_t carved_ = 0;
-  Task* chunk_cursor_ = nullptr;
-  std::size_t next_in_chunk_ = chunk_tasks;
-  std::vector<std::byte*> chunks_;
-  unsigned node_;
-};
-
-/// Per-worker outbound retirement stash toward ONE remote birth node: a
-/// descriptor freed off its birth node chains here (two plain stores) and
-/// the whole chain flies home in one NodeArena::put_chain splice when the
-/// stash reaches flush_batch — so cross-node frees cost one remote lock
-/// per batch instead of per descriptor. Workers also flush every stash at
-/// region end, bounding in-transit memory and making the between-regions
-/// balance exact (every remote-born free has landed home).
+/// Per-worker stash of descriptors freed on this worker but owned by ONE
+/// other worker (Scheduler keeps one per owner). A free costs two plain
+/// stores here; when the stash reaches flush_batch the whole chain goes
+/// back to the owner in one TaskPool::give_back CAS. Workers also flush
+/// every stash at region end, which bounds in-transit memory and makes the
+/// between-regions balance exact (every descriptor rests in its owner's
+/// pool).
 struct RemoteStash {
   static constexpr std::uint32_t flush_batch = 16;
 

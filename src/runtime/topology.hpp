@@ -6,10 +6,9 @@
 // the interconnect, to shrink cross-node steal batches, and — through the
 // victim order — to keep freshly split range halves on the node that
 // produced them (a same-node thief reaches them first). The node map also
-// scopes descriptor memory (one NodeArena per node under use_node_pools:
-// descriptors are carved, first-touched and retired on their birth node)
-// and addresses the per-node RangeMailbox hint-aware placement delivers
-// split halves through.
+// groups the per-worker descriptor pools into the per-node balance view
+// (Scheduler::node_pool_snapshot) and addresses the per-node RangeMailbox
+// hint-aware placement delivers split halves through.
 //
 // Three sources, in precedence order:
 //   1. A synthetic "NxM" spec (N nodes of M cores) from

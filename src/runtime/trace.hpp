@@ -8,6 +8,7 @@
 //   - Per-event running counters are relaxed atomics (single writer, many
 //     readers) so the server phase detector and conservation tests can sample
 //     them live; they are wrap-proof even when the ring overwrites records.
+//     The owner bumps them with a relaxed load plus store, not a fetch_add.
 //   - Rings are drained by their OWNING worker at region exit (participate),
 //     never concurrently with writes — TSAN-clean by construction.
 //   - Compile-out: -DBOTS_RT_NO_TRACE turns trace_record() into a no-op so
@@ -94,8 +95,11 @@ class TraceRing {
 
   void record(TraceEvent ev, std::uint64_t arg = 0, std::uint32_t arg2 = 0,
               std::uint64_t weight = 1) noexcept {
-    counts_[static_cast<std::size_t>(ev)].fetch_add(weight,
-                                                    std::memory_order_relaxed);
+    // Single writer: a plain load + store keeps the counter exact without
+    // the lock-prefixed RMW, and readers still see whole values.
+    std::atomic<std::uint64_t>& c = counts_[static_cast<std::size_t>(ev)];
+    c.store(c.load(std::memory_order_relaxed) + weight,
+            std::memory_order_relaxed);
     TraceRecord& r = buf_[head_ & mask_];
     r.tsc = trace_now();
     r.arg = arg;

@@ -280,23 +280,49 @@ TEST(Deque, ConcurrentStealBatchClaimsEachTaskOnce) {
 
 TEST(TaskPool, FreshThenReuse) {
   rt::TaskPool pool;
-  bool reused = true;
-  rt::Task* t1 = pool.allocate(reused);
-  EXPECT_FALSE(reused);
+  EXPECT_EQ(pool.reuse(), nullptr);  // nothing recycled yet
+  rt::Task* t1 = pool.carve(3);
+  EXPECT_EQ(t1->owner(), 3u);
   pool.recycle(t1);
-  rt::Task* t2 = pool.allocate(reused);
-  EXPECT_TRUE(reused);
+  rt::Task* t2 = pool.reuse();
   EXPECT_EQ(t1, t2);  // freelist returns the recycled descriptor
+  EXPECT_EQ(t2->owner(), 3u);  // ownership survives reuse
 }
 
 TEST(TaskPool, ChunksProvideManyDescriptors) {
   rt::TaskPool pool;
   std::vector<rt::Task*> all;
-  bool reused = false;
-  for (int i = 0; i < 1000; ++i) all.push_back(pool.allocate(reused));
+  for (int i = 0; i < 1000; ++i) all.push_back(pool.carve(0));
   std::sort(all.begin(), all.end());
   EXPECT_EQ(std::adjacent_find(all.begin(), all.end()), all.end());
   for (rt::Task* t : all) pool.recycle(t);
+  const rt::TaskPool::Counts c = pool.counts();
+  EXPECT_EQ(c.carved, 1000u);
+  EXPECT_EQ(c.free, 1000u);
+  EXPECT_EQ(c.returned, 0u);
+}
+
+TEST(TaskPool, ReturnedChainIsTakenWhenFreelistRunsDry) {
+  // A chain given back by another worker is invisible until the private
+  // freelist is empty, then taken whole: every descriptor comes out once.
+  rt::TaskPool pool;
+  rt::Task* a = pool.carve(0);
+  rt::Task* b = pool.carve(0);
+  rt::Task* c = pool.carve(0);
+  pool.recycle(a);
+  rt::RemoteStash stash;
+  stash.push(b);
+  stash.push(c);
+  pool.give_back(stash.head, stash.tail);
+  EXPECT_EQ(pool.counts().returned, 2u);
+  EXPECT_EQ(pool.reuse(), a);  // private freelist first
+  std::vector<rt::Task*> rest{pool.reuse(), pool.reuse()};
+  std::sort(rest.begin(), rest.end());
+  std::vector<rt::Task*> expect{b, c};
+  std::sort(expect.begin(), expect.end());
+  EXPECT_EQ(rest, expect);
+  EXPECT_EQ(pool.reuse(), nullptr);
+  EXPECT_EQ(pool.counts().returned, 0u);
 }
 
 TEST(TaskPool, RecycledTaskIsReset) {
@@ -304,8 +330,7 @@ TEST(TaskPool, RecycledTaskIsReset) {
   // environment cleared (destroy_env on the fresh descriptor is a no-op);
   // everything else is overwritten by init_env/set_links on the next spawn.
   rt::TaskPool pool;
-  bool reused = false;
-  rt::Task* t = pool.allocate(reused);
+  rt::Task* t = pool.carve(0);
   t->init_env([] {});
   t->set_links(nullptr, 7, rt::Tiedness::untied, rt::TaskStorage::pooled);
   t->add_child_ref();
@@ -313,7 +338,7 @@ TEST(TaskPool, RecycledTaskIsReset) {
   EXPECT_FALSE(t->release_ref());  // the child's reference is still held
   t->destroy_env();
   pool.recycle(t);
-  rt::Task* t2 = pool.allocate(reused);
+  rt::Task* t2 = pool.reuse();
   ASSERT_EQ(t, t2);
   EXPECT_EQ(t2->unfinished_children(), 0u);
   t2->destroy_env();  // must be a no-op on a recycled descriptor

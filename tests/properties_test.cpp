@@ -3,9 +3,13 @@
 // contracts beyond single-kernel correctness.
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <mutex>
 #include <set>
 #include <string_view>
+#include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -159,8 +163,8 @@ TEST(Properties, PoolFreesBalanceAllocationsOnEveryApp) {
   // classified as exactly one home or remote free — so after any suite
   // run, home + remote frees == reuse + fresh allocations. Checked in the
   // default (flat) configuration AND on a synthetic 2x4 box under the
-  // hierarchical policy, where node pools route remote-born frees through
-  // the outbound stashes and remote frees must be zero by construction.
+  // hierarchical policy. With node pools active, frees by non-owners go
+  // back through the stashes and remote frees must be zero by construction.
   auto check = [](rt::SchedulerConfig cfg, const char* label) {
     ASSERT_TRUE(cfg.use_task_pool);  // the invariant is about pooled storage
     rt::Scheduler sched(cfg);
@@ -189,9 +193,9 @@ TEST(Properties, ThrowingBodiesKeepAccountingAndPoolsBalanced) {
   // depths — some bodies still spawning children before throwing — must
   // leave every ledger balanced: each deferred descriptor executes (or, in
   // a cancelled region, is discarded) exactly once, every pooled descriptor
-  // retires to its birth node, and the node pools end each region holding
-  // all carved memory. Run on a synthetic 2x4 with node pools, where an
-  // unwound release chain crosses the stash machinery too.
+  // retires to its owner's pool, and the pools end each region holding all
+  // carved memory. Run on a synthetic 2x4 with node pools, where an unwound
+  // release chain crosses the stash machinery too.
   rt::SchedulerConfig cfg;
   cfg.num_threads = 8;
   cfg.steal_policy = rt::StealPolicyKind::hierarchical;
@@ -232,13 +236,181 @@ TEST(Properties, ThrowingBodiesKeepAccountingAndPoolsBalanced) {
               t.pool_reuse + t.pool_fresh)
         << "round " << round;
     ASSERT_EQ(t.pool_remote_frees, 0u) << "round " << round;
-    // The arenas got every carved descriptor back (none leaked down an
+    // The owners got every carved descriptor back (none leaked down an
     // unwound release chain).
     for (const auto& n : sched.node_pool_snapshot()) {
       ASSERT_EQ(n.arena_carved, n.arena_free + n.cached + n.in_transit)
           << "round " << round;
     }
   }
+}
+
+TEST(Properties, SingleGeneratorFloodsKeepPoolsBounded) {
+  // One generator spawns every task and the other workers execute — and so
+  // free — nearly all of them. Each freed descriptor must go back to the
+  // generator's pool, so after warm-up a flood is served from recycled
+  // memory: later floods may carve at most the in-transit slack (partly
+  // filled stashes), never another flood's worth. Recycling into the
+  // freer's pool instead lets thieves hoard descriptors while the
+  // generator carves about one flood's worth per flood.
+  constexpr unsigned kWorkers = 4;
+  constexpr int kTasks = 4096;
+  constexpr int kRegions = 200;
+  for (const char* topo : {"1x4", "2x2"}) {
+    rt::SchedulerConfig cfg;
+    cfg.num_threads = kWorkers;
+    cfg.synthetic_topology = topo;
+    cfg.cutoff = rt::CutoffPolicy::none;
+    cfg.use_task_pool = true;
+    cfg.use_node_pools = true;
+    cfg.fault_plan.clear();  // exact pool ledgers and the full team
+    rt::Scheduler sched(cfg);
+    ASSERT_EQ(sched.num_workers(), kWorkers) << topo;
+    // Prime: hold every task until the generator has spawned all of them,
+    // so its pool already covers the largest live set a flood can have.
+    // Without this a later flood whose thieves start late could carve
+    // more than an earlier one for reasons that have nothing to do with
+    // where freed descriptors go.
+    std::atomic<bool> all_spawned{false};
+    sched.run_single([&all_spawned] {
+      for (int i = 0; i < kTasks; ++i) {
+        rt::spawn(rt::Tiedness::untied, [&all_spawned] {
+          while (!all_spawned.load(std::memory_order_acquire)) {
+            std::this_thread::yield();
+          }
+        });
+      }
+      all_spawned.store(true, std::memory_order_release);
+      rt::taskwait();
+    });
+    std::uint64_t fresh_at_10 = 0;
+    for (int region = 1; region <= kRegions; ++region) {
+      sched.run_single([] {
+        for (int i = 0; i < kTasks; ++i) rt::spawn(rt::Tiedness::untied, [] {});
+        rt::taskwait();
+      });
+      const auto t = sched.stats().total;
+      ASSERT_EQ(t.pool_remote_frees, 0u) << topo << " region " << region;
+      if (region == 10) fresh_at_10 = t.pool_fresh;
+      // Between regions every descriptor rests in its owner's pool.
+      for (const auto& n : sched.node_pool_snapshot()) {
+        ASSERT_EQ(n.in_transit, 0u) << topo << " region " << region;
+        ASSERT_EQ(n.cached + n.arena_free, n.arena_carved)
+            << topo << " region " << region;
+      }
+    }
+    EXPECT_LE(sched.stats().total.pool_fresh,
+              fresh_at_10 + kWorkers * (kWorkers - 1) *
+                                rt::RemoteStash::flush_batch)
+        << topo << ": floods keep carving fresh descriptors";
+  }
+}
+
+TEST(Properties, ReturnListHandsOutEachDescriptorExactlyOnce) {
+  // The owner's lock-free return list under contention: three returner
+  // threads splice chains back while the owner keeps allocating. A flag per
+  // descriptor says "back in the pool": returners set it just before the
+  // splice, the owner clears it on every hand-out. A hand-out that finds
+  // the flag clear got a descriptor that was never given back (handed out
+  // twice); a descriptor missing at the end was lost.
+  constexpr std::size_t kDescriptors = 512;
+  constexpr int kReturners = 3;
+  constexpr int kHandOuts = 200000;
+  rt::TaskPool pool;
+  std::unordered_map<rt::Task*, std::size_t> index;
+  for (std::size_t i = 0; i < kDescriptors; ++i) index[pool.carve(0)] = i;
+  for (const auto& [t, i] : index) pool.recycle(t);
+  std::vector<std::atomic<int>> in_pool(kDescriptors);
+  for (auto& f : in_pool) f.store(1, std::memory_order_relaxed);
+
+  struct Inbox {
+    std::mutex mu;
+    std::vector<rt::Task*> items;
+  };
+  std::vector<Inbox> inboxes(kReturners);
+  std::atomic<bool> stop{false};
+  std::atomic<int> bad_returns{0};
+  std::vector<std::thread> returners;
+  for (int r = 0; r < kReturners; ++r) {
+    returners.emplace_back([&, r] {
+      rt::RemoteStash stash;
+      auto flush = [&] {
+        if (stash.count == 0) return;
+        // Walk `count` links, not to the null end: a descriptor handed out
+        // twice can close the chain into a cycle.
+        rt::Task* t = stash.head;
+        for (std::uint32_t i = 0; i < stash.count; ++i, t = t->pool_next) {
+          in_pool[index.at(t)].store(1, std::memory_order_relaxed);
+        }
+        pool.give_back(stash.head, stash.tail);
+        stash = rt::RemoteStash{};
+      };
+      std::vector<rt::Task*> batch;
+      for (;;) {
+        const bool stopping = stop.load(std::memory_order_acquire);
+        {
+          std::lock_guard<std::mutex> lock(inboxes[r].mu);
+          batch.swap(inboxes[r].items);
+        }
+        for (rt::Task* t : batch) {
+          if (in_pool[index.at(t)].load(std::memory_order_relaxed) != 0) {
+            bad_returns.fetch_add(1, std::memory_order_relaxed);
+          }
+          stash.push(t);
+          if (stash.count >= rt::RemoteStash::flush_batch) flush();
+        }
+        // A partial stash goes back as soon as the inbox runs dry, so the
+        // owner can never starve on descriptors parked here.
+        if (batch.empty()) {
+          flush();
+          std::this_thread::yield();
+        }
+        batch.clear();
+        if (stopping) {
+          std::lock_guard<std::mutex> lock(inboxes[r].mu);
+          if (inboxes[r].items.empty()) break;
+        }
+      }
+      flush();
+    });
+  }
+
+  int double_hand_outs = 0;
+  for (int n = 0; n < kHandOuts; ++n) {
+    rt::Task* t = pool.reuse();
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (t == nullptr && std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::yield();
+      t = pool.reuse();
+    }
+    if (t == nullptr) break;  // descriptors were lost: reported below
+    if (in_pool[index.at(t)].exchange(0, std::memory_order_relaxed) != 1) {
+      ++double_hand_outs;
+    }
+    if (n % 5 == 0) {
+      // The owner's own free: straight back onto its private freelist.
+      in_pool[index.at(t)].store(1, std::memory_order_relaxed);
+      pool.recycle(t);
+    } else {
+      Inbox& box = inboxes[static_cast<std::size_t>(n) % kReturners];
+      std::lock_guard<std::mutex> lock(box.mu);
+      box.items.push_back(t);
+    }
+  }
+  stop.store(true, std::memory_order_release);
+  for (auto& th : returners) th.join();
+
+  EXPECT_EQ(double_hand_outs, 0);
+  EXPECT_EQ(bad_returns.load(), 0);
+  std::set<rt::Task*> back;
+  // Bounded: a list that hands descriptors out twice may never run dry.
+  for (std::size_t i = 0; i <= kDescriptors; ++i) {
+    rt::Task* t = pool.reuse();
+    if (t == nullptr) break;
+    EXPECT_TRUE(back.insert(t).second) << "descriptor handed out twice";
+  }
+  EXPECT_EQ(back.size(), kDescriptors) << "descriptors lost";
 }
 
 TEST(Properties, InlinePathCountsCapturedEnvironmentBytes) {

@@ -126,7 +126,7 @@ class PolicyChurn {
 // Failing before this PR: swapping the steal policy under a live region
 // required stopping it — the only path, reconfigure(), throws under a live
 // region (and still does, because it also re-detects topology and rebuilds
-// arenas). reconfigure_live() performs the policy-kind swap that used to
+// mailboxes). reconfigure_live() performs the policy-kind swap that used to
 // throw, without stopping anything.
 // ---------------------------------------------------------------------------
 

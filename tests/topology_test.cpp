@@ -1,8 +1,8 @@
 // Topology/steal-policy layer tests: synthetic-topology determinism, the
 // hierarchical policy's same-node-before-cross-node victim order, its
 // single-node degeneration to last_victim, steal locality counters,
-// node-local descriptor pools (birth-node retirement, cross-node stash
-// flight, the between-regions balance), hint-aware range placement
+// owner-return descriptor pools (retirement to the carving worker, batched
+// stash returns, the between-regions balance), hint-aware range placement
 // (mailbox delivery, the placement plan, A/B output identity), and
 // correctness of every policy under the usual workloads.
 #include <algorithm>
@@ -545,47 +545,49 @@ TEST(StealPolicy, ReconfigureRemapsWorkerNodesForLocalityCounters) {
 }
 
 // ---------------------------------------------------------------------------
-// Node-local descriptor pools (cfg.use_node_pools / RT_NODE_POOLS): birth-
-// node retirement, batched stash flight, and the between-regions balance.
+// Owner-return descriptor pools (cfg.use_node_pools / RT_NODE_POOLS): every
+// freed descriptor goes back to the worker that carved it, through batched
+// per-owner stashes, and the between-regions balance is exact.
 // ---------------------------------------------------------------------------
 
 /// Sum of a node-pool snapshot's resting places, asserting the between-
-/// regions balance: nothing in transit, and every descriptor ever carved
-/// from a node's arena resting ON that node (worker caches + arena
-/// freelist) — i.e. every remote-born free landed home.
+/// regions balance: nothing in transit, and every descriptor ever carved by
+/// a node's workers resting in its owner's pool (freelist + return list) —
+/// i.e. every free by a non-owner landed home.
 void expect_pool_balance(const rt::Scheduler& s) {
   const auto snap = s.node_pool_snapshot();
   for (std::size_t n = 0; n < snap.size(); ++n) {
     EXPECT_EQ(snap[n].in_transit, 0u)
-        << "node " << n << ": unflushed outbound stash after region end";
+        << "node " << n << ": unflushed stash after region end";
     EXPECT_EQ(snap[n].cached + snap[n].arena_free, snap[n].arena_carved)
         << "node " << n << ": descriptors rest off their birth node";
   }
 }
 
-TEST(NodePools, SingleNodeTopologyKeepsPlainWorkerPools) {
-  // The documented degeneration: on one locality domain the knob is inert
-  // — no arenas exist and allocation takes exactly the per-worker TaskPool
-  // path, so a flat box pays nothing for the default-on knob.
+TEST(NodePools, SingleNodeTopologyReturnsDescriptorsToOwners) {
+  // Owner-return is not a NUMA-only mode: on one locality domain stolen
+  // descriptors still go back to the worker that carved them, so the
+  // per-node balance view is live and exact on a flat box too.
   rt::SchedulerConfig cfg =
       policy_cfg(4, rt::StealPolicyKind::hierarchical, "1x4");
-  ASSERT_TRUE(cfg.use_node_pools);
+  cfg.cutoff = rt::CutoffPolicy::none;
+  cfg.use_node_pools = true;  // pin against RT_NODE_POOLS=0 legs
   rt::Scheduler s(cfg);
-  EXPECT_FALSE(s.node_pools_active());
-  EXPECT_TRUE(s.node_pool_snapshot().empty());
+  EXPECT_TRUE(s.node_pools_active());
+  EXPECT_EQ(s.node_pool_snapshot().size(), 1u);
   std::uint64_t r = 0;
   s.run_single([&] { r = fib_task(18, rt::Tiedness::tied); });
   EXPECT_EQ(r, fib_ref(18));
-  // Frees are still classified: on one node every free is a home free.
   const auto t = s.stats().total;
-  EXPECT_GT(t.pool_home_frees, 0u);
+  EXPECT_EQ(t.pool_home_frees, t.pool_reuse + t.pool_fresh);
   EXPECT_EQ(t.pool_remote_frees, 0u);
+  expect_pool_balance(s);
 }
 
-TEST(NodePools, FlatDegenerationMatchesWorkerPoolsCounterForCounter) {
-  // One worker, one node: the same deterministic workload must produce the
-  // exact same pool counter stream with the knob on and off — the
-  // degeneration is bit-for-bit, not merely "also correct".
+TEST(NodePools, OneWorkerMatchesWorkerPoolsCounterForCounter) {
+  // One worker: every free is by the owner, so the same deterministic
+  // workload must produce the exact same pool counter stream with the knob
+  // on and off — owner-return adds nothing to the owner's own frees.
   auto counters = [](bool node_pools) {
     rt::SchedulerConfig cfg =
         policy_cfg(1, rt::StealPolicyKind::hierarchical, "1x1");
@@ -609,14 +611,14 @@ TEST(NodePools, FlatDegenerationMatchesWorkerPoolsCounterForCounter) {
 TEST(NodePools, CrossNodeStealRetiresDescriptorsToTheirBirthNode) {
   // Every worker its own node (4x1): any successful steal crosses the
   // interconnect, so the stolen task's descriptor dies on a foreign node.
-  // With node pools ON it must fly home through the outbound stash — a
+  // With node pools ON it must go back to its owner through a stash — a
   // remote free never happens (the acceptance criterion and the CI
   // tripwire), the in-transit high-water shows the flight, and the
   // between-regions balance proves the landing.
   rt::SchedulerConfig cfg =
       policy_cfg(4, rt::StealPolicyKind::hierarchical, "4x1");
   cfg.cutoff = rt::CutoffPolicy::none;
-  ASSERT_TRUE(cfg.use_node_pools);
+  cfg.use_node_pools = true;  // pin against RT_NODE_POOLS=0 legs
   rt::Scheduler s(cfg);
   ASSERT_TRUE(s.node_pools_active());
   std::atomic<bool> stolen{false};
@@ -633,7 +635,7 @@ TEST(NodePools, CrossNodeStealRetiresDescriptorsToTheirBirthNode) {
       << "a descriptor retired into a pool off its birth node";
   EXPECT_GT(t.pool_home_frees, 0u);
   EXPECT_GT(t.pool_migrations, 0u)
-      << "a cross-node-finished descriptor never rode an outbound stash";
+      << "a cross-node-finished descriptor never rode a stash";
   expect_pool_balance(s);
 }
 
@@ -661,6 +663,7 @@ TEST(NodePools, HeavyStealTrafficStaysBalancedAcrossRegions) {
   rt::SchedulerConfig cfg =
       policy_cfg(8, rt::StealPolicyKind::hierarchical, "2x4");
   cfg.cutoff = rt::CutoffPolicy::none;
+  cfg.use_node_pools = true;
   rt::Scheduler s(cfg);
   ASSERT_TRUE(s.node_pools_active());
   for (int round = 0; round < 2; ++round) {
@@ -676,19 +679,19 @@ TEST(NodePools, HeavyStealTrafficStaysBalancedAcrossRegions) {
   }
 }
 
-TEST(NodePools, HomeCacheSpillsBackUnderProducerConsumerFlow) {
+TEST(NodePools, ProducerConsumerFlowKeepsCarvingBounded) {
   // Worker 0 generates waves of tasks and busy-waits them out (never
-  // reaching a scheduling point), so its same-node sibling consumes them:
-  // the consumed descriptors pile into the SIBLING's home cache, and the
-  // cache must spill them back to the arena — otherwise the generator
-  // finds the arena empty every wave and carves fresh chunk slots at task
-  // scale (arena memory O(total tasks) instead of O(peak live)). The
-  // bound is one-sided: whatever share the sibling actually won, total
-  // carving must stay at cache scale.
+  // reaching a scheduling point), so its same-node sibling consumes them.
+  // The sibling must hand the consumed descriptors back to the generator —
+  // otherwise the generator finds its pool empty every wave and carves
+  // fresh chunk slots at task scale (memory O(total tasks) instead of
+  // O(peak live)). The bound is one-sided: whatever share the sibling
+  // actually won, total carving must stay at stash scale.
   rt::SchedulerConfig cfg =
       policy_cfg(4, rt::StealPolicyKind::hierarchical, "2x2");
   cfg.cutoff = rt::CutoffPolicy::none;
   cfg.lifo_slot = false;  // a slot entry is invisible while the generator spins
+  cfg.use_node_pools = true;
   rt::Scheduler s(cfg);
   ASSERT_TRUE(s.node_pools_active());
   constexpr int waves = 100;
@@ -720,7 +723,7 @@ TEST(NodePools, HomeCacheSpillsBackUnderProducerConsumerFlow) {
   std::size_t carved = 0;
   for (const auto& e : snap) carved += e.arena_carved;
   EXPECT_LE(carved, 512u)
-      << "arena grew at task scale: consumed descriptors are not spilling "
+      << "pools grew at task scale: consumed descriptors are not going "
          "back to the generator";
   expect_pool_balance(s);
 }
