@@ -45,7 +45,6 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <type_traits>
 #include <unordered_map>
 #include <utility>
@@ -130,9 +129,15 @@ struct DepNode {
 /// template does not need the graph's definition.
 class GraphRecorder {
  public:
-  /// Register one task; returns its node index. The body copy must be
-  /// re-invocable (it runs once per replay).
-  virtual std::uint32_t record_node(std::function<void()> body, Tiedness t) = 0;
+  /// A registered node: its index and the graph-owned descriptor the spawn
+  /// copies the body into (Task::init_env). The copy must be re-invocable:
+  /// it runs once per replay and lives until the graph re-records or dies.
+  struct NodeSlot {
+    Task* task = nullptr;
+    std::uint32_t index = 0;
+  };
+  /// Register one task.
+  virtual NodeSlot record_node(Tiedness t) = 0;
   /// Register one structural dependence edge (recorded whether or not the
   /// predecessor had already finished at record time — replay re-resolves
   /// every edge).
@@ -178,7 +183,9 @@ class DepScope {
     for (const Dep& d : deps) collect_preds(d);
     std::uint32_t self_idx = 0;
     if (recorder_ != nullptr) {
-      self_idx = recorder_->record_node(std::function<void()>(f), tied);
+      const GraphRecorder::NodeSlot rec = recorder_->record_node(tied);
+      rec.task->init_env(f);  // the graph's own copy; `f` itself moves below
+      self_idx = rec.index;
     }
     TaskStorage storage{};
     Task* t = s.alloc_task(*w, storage);
@@ -197,9 +204,8 @@ class DepScope {
     }
     t->init_env(std::forward<F>(f));
     w->stats.env_bytes += t->env_bytes();
-    Task* parent = w->current;
-    parent->add_child_ref();
-    t->set_links(parent, depth, tied, storage);
+    Scheduler::charge_parent(*w);
+    t->set_links(w->current, depth, tied, storage);
     DepNode* node = new_node(t);
     t->set_dep(node);
     // Tracker pin: +1 reference, taken pre-publication on this (the
@@ -307,14 +313,18 @@ class DepScope {
   /// Push `e` onto `pred`'s successor stack; false when the stack is
   /// already closed (the predecessor finished — its successor walk is over
   /// and will never see this edge).
+  ///
+  /// Reading the sentinel must acquire: the finishing worker closed the
+  /// stack with a release after the predecessor's body, and the successor
+  /// this generator then self-satisfies has to see that body's writes.
   static bool push_succ(Task* pred, DepEdge* e) noexcept {
     DepNode* pn = pred->dep();
-    DepEdge* head = pn->succ_head.load(std::memory_order_relaxed);
+    DepEdge* head = pn->succ_head.load(std::memory_order_acquire);
     do {
       if (head == detail::dep_closed()) return false;
       e->next = head;
     } while (!pn->succ_head.compare_exchange_weak(
-        head, e, std::memory_order_release, std::memory_order_relaxed));
+        head, e, std::memory_order_release, std::memory_order_acquire));
     return true;
   }
 

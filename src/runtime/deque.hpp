@@ -63,12 +63,23 @@ class WorkStealingDeque {
   ~WorkStealingDeque() = default;  // retired_ owns every array ever published
 
   /// Owner-only: push one task at the bottom. Grows when full.
+  ///
+  /// The fullness check runs against top_cache_, the owner's private copy
+  /// of top_, and re-reads the shared top_ only when the ring looks full:
+  /// thieves advance top_ on every steal, so reading it on every push
+  /// pulled that cache line back to the owner once per spawn. top_ only
+  /// grows, so the copy can only overstate the occupancy — a stale copy
+  /// costs a refresh, never an overwrite. The refresh keeps the acquire of
+  /// the PPoPP'13 push: a slot is reused only after the steal that emptied
+  /// it (its read happens before its CAS) is visible.
   void push(Task* t) {
     std::int64_t b = bottom_.load(std::memory_order_relaxed);
-    std::int64_t top = top_.load(std::memory_order_acquire);
     RingArray* a = array_.load(std::memory_order_relaxed);
-    if (b - top > static_cast<std::int64_t>(a->capacity) - 1) {
-      a = grow(a, b, top);
+    if (b - top_cache_ > static_cast<std::int64_t>(a->capacity) - 1) {
+      top_cache_ = top_.load(std::memory_order_acquire);
+      if (b - top_cache_ > static_cast<std::int64_t>(a->capacity) - 1) {
+        a = grow(a, b, top_cache_);
+      }
     }
     a->put(b, t);
     std::atomic_thread_fence(std::memory_order_release);
@@ -159,6 +170,11 @@ class WorkStealingDeque {
     return size_estimate() == 0;
   }
 
+  /// Current ring capacity (slots); grows by doubling, never shrinks.
+  [[nodiscard]] std::size_t capacity() const noexcept {
+    return array_.load(std::memory_order_acquire)->capacity;
+  }
+
  private:
   struct RingArray {
     explicit RingArray(std::size_t cap)
@@ -201,6 +217,9 @@ class WorkStealingDeque {
 
   alignas(cache_line_bytes) std::atomic<std::int64_t> top_{0};
   alignas(cache_line_bytes) std::atomic<std::int64_t> bottom_{0};
+  /// Owner-private lower bound of top_ (see push). Beside bottom_, which the
+  /// owner writes on every push anyway, so it costs no line of its own.
+  std::int64_t top_cache_ = 0;
   alignas(cache_line_bytes) std::atomic<RingArray*> array_;
   std::vector<std::unique_ptr<RingArray>> retired_;
 };

@@ -349,6 +349,7 @@ void Scheduler::run_ctx_root(RegionCtx& ctx, const std::function<void()>& body) 
   // Shed or expired before it ever started: nothing was spawned under this
   // ctx yet, so skipping the body IS the discard (ledger stays 0 == 0).
   if (ctx.cancelled()) return;
+  flush_fold(w);  // a request body can run long: pay owed announcements now
   trace_record(w.ring, TraceEvent::request_start, ctx.id());
   TaskStorage storage{};
   Task* frame = alloc_task(w, storage);
@@ -384,6 +385,8 @@ void Scheduler::run_ctx_root(RegionCtx& ctx, const std::function<void()>& body) 
 
   Task* prev = w.current;
   const std::uint32_t prev_inline = w.inline_depth;
+  const SpawnCharge prev_charge = w.charge;
+  w.charge = {};
   w.inline_depth = 0;  // the frame's depth already accounts for inline frames
   w.current = frame;
   try {
@@ -394,6 +397,7 @@ void Scheduler::run_ctx_root(RegionCtx& ctx, const std::function<void()>& body) 
     // the caller is the server worker loop, which must keep serving.
     ctx.store_exception();
   }
+  settle_charge(w);  // the frame's unused slots, before its child count
   // Join the WHOLE request subtree, not just direct children: a child's
   // completion announces to the frame before the child's own deferred
   // descendants finish, so the frame's child count alone is not quiescence.
@@ -401,17 +405,20 @@ void Scheduler::run_ctx_root(RegionCtx& ctx, const std::function<void()>& body) 
   // enqueue to retirement, and undeferred ones execute synchronously inside
   // one that does. The worker helps (any request's work) while it waits.
   Backoff backoff;
-  while (frame->unfinished_children() != 0 || ctx.live() != 0) {
+  for (;;) {
+    if (w.fold_parent == frame) flush_fold(w);
+    if (frame->unfinished_children() == 0 && ctx.live() == 0) break;
     if (Task* t = find_work(w)) {
       execute_deferred(w, *t);
       backoff.reset();
     } else {
-      if (cfg_.batch_accounting) flush_accounting(w);
+      flush_accounting(w);
       backoff.pause();
     }
   }
   frame->destroy_env();
   w.current = prev;
+  w.charge = prev_charge;
   w.inline_depth = prev_inline;
   Task* frame_parent = frame->parent();
   if (frame_parent != nullptr) frame_parent->child_completed();
@@ -422,11 +429,12 @@ void Scheduler::run_ctx_root(RegionCtx& ctx, const std::function<void()>& body) 
 bool Scheduler::help_one() {
   Worker* wp = detail::tls_worker;
   if (wp == nullptr || wp->region == nullptr) return false;
+  settle_charge(*wp);
   if (Task* t = find_work(*wp)) {
     execute_deferred(*wp, *t);
     return true;
   }
-  if (cfg_.batch_accounting) flush_accounting(*wp);
+  flush_accounting(*wp);
   return false;
 }
 
@@ -542,6 +550,8 @@ void Scheduler::participate(Worker& w, Region& r) {
   w.live_delta = 0;
   w.acct_ops = 0;
   w.barrier_draining = false;
+  w.charge = {};
+  assert(w.fold_count == 0 && "a folded completion outlived its region");
   w.tied_chain = 0;
   w.inline_depth = 0;
   assert(w.tied_stack.empty() && "a suspended tied task outlived its region");
@@ -591,6 +601,7 @@ void Scheduler::participate(Worker& w, Region& r) {
   if (tracer_ != nullptr) tracer_->drain_worker(w.id);
 
   assert(root.unfinished_children() == 0);
+  assert(w.fold_count == 0);
   w.current = nullptr;
   w.region = nullptr;
   // Quiesce the snapshot pin: slot 0 tells reconfigure_live this worker
@@ -712,7 +723,7 @@ void Scheduler::dispose(Worker& w, Task& t) noexcept {
     case TaskStorage::stack_frame:
       break;  // lifetime owned by a worker stack frame
     case TaskStorage::graph:
-      break;  // owned by a frozen TaskGraph; reset in place per replay
+      break;  // owned by a frozen TaskGraph; re-armed on its next release
   }
 }
 
@@ -732,6 +743,9 @@ void Scheduler::flush_outbound_stashes(Worker& w) noexcept {
 }
 
 void Scheduler::flush_accounting(Worker& w) noexcept {
+  // Folded replay completions first, so that by the time this worker's
+  // live-count decrements are visible, so are its announcements.
+  flush_fold(w);
   if (w.live_delta != 0) {
     w.region->live_tasks.fetch_add(w.live_delta, std::memory_order_acq_rel);
     w.live_delta = 0;
@@ -905,6 +919,9 @@ void Scheduler::execute_deferred(Worker& w, Task& t) {
   // descriptor, so the count must not leak into depths computed under it
   // (a scheduling point inside an inline body claims unrelated tasks).
   const std::uint32_t prev_inline = w.inline_depth;
+  // Every caller is a settle point (taskwait, barrier, request join,
+  // help_one), so `prev` holds no spawn slots that t could be charged for.
+  assert(w.charge.slots == 0 && w.charge.spawns == 0);
   w.inline_depth = 0;
   w.current = &t;
   ++w.stats.tasks_executed;
@@ -938,6 +955,9 @@ void Scheduler::execute_deferred(Worker& w, Task& t) {
       w.region->store_exception();
     }
   }
+  // End of t's body: its unused slots go back before finish_task reads
+  // exclusive() — the body-end settle point of every exit path.
+  settle_charge(w);
   t.destroy_env();
   w.current = prev;
   w.inline_depth = prev_inline;
@@ -960,8 +980,17 @@ void Scheduler::run_undeferred(Worker& w, Task& t) {
   // As in execute_deferred: t's descriptor depth already includes any inline
   // frames below it, so depths computed under t start from zero again.
   const std::uint32_t prev_inline = w.inline_depth;
+  const SpawnCharge prev_charge = w.charge;
+  w.charge = {};
   w.inline_depth = 0;
   w.current = &t;
+  const auto leave = [&]() noexcept {
+    settle_charge(w);  // body end: t's unused slots go back
+    t.destroy_env();
+    w.current = prev;
+    w.charge = prev_charge;
+    w.inline_depth = prev_inline;
+  };
   try {
     t.invoke();
   } catch (...) {
@@ -970,15 +999,11 @@ void Scheduler::run_undeferred(Worker& w, Task& t) {
     // after the descriptor is retired like any completed task: the
     // parent's child count must drop and the storage must recycle, or the
     // descriptor (and through it the parent chain) leaks.
-    t.destroy_env();
-    w.current = prev;
-    w.inline_depth = prev_inline;
+    leave();
     finish_task(w, t, /*deferred=*/false);
     throw;
   }
-  t.destroy_env();
-  w.current = prev;
-  w.inline_depth = prev_inline;
+  leave();
   finish_task(w, t, /*deferred=*/false);
 }
 
@@ -1013,11 +1038,19 @@ void Scheduler::finish_task(Worker& w, Task& t, bool deferred) {
     // without an RMW and both halves of the parent update — the
     // unfinished-children decrement and the reference drop — fuse into a
     // single RMW on the parent's state word.
-    dispose(w, t);
-    if (parent != nullptr && parent->child_completed_and_release()) {
-      Task* grand = parent->parent();
-      dispose(w, *parent);
-      release_chain(w, grand);  // pure reference drops from here upward
+    if (t.storage() == TaskStorage::graph) {
+      // A replayed node: its parent is the replaying task, blocked in the
+      // replay's join, so the RMW can wait in this worker's fold and be
+      // paid for up to fold_batch nodes at once — the completion-side twin
+      // of replay's bulk charge. Graph storage is never disposed.
+      fold_completion(w, *parent);
+    } else {
+      dispose(w, t);
+      if (parent != nullptr && parent->child_completed_and_release()) {
+        Task* grand = parent->parent();
+        dispose(w, *parent);
+        release_chain(w, grand);  // pure reference drops from here upward
+      }
     }
   } else {
     // Children (or their not-yet-drained release chains) may still hold
@@ -1042,6 +1075,29 @@ void Scheduler::finish_task(Worker& w, Task& t, bool deferred) {
   }
 }
 
+void Scheduler::fold_completion(Worker& w, Task& parent) noexcept {
+  if (w.fold_parent != &parent) {
+    flush_fold(w);
+    w.fold_parent = &parent;
+  }
+  if (++w.fold_count == Worker::fold_batch) flush_fold(w);
+}
+
+void Scheduler::flush_fold(Worker& w) noexcept {
+  if (w.fold_count == 0) return;
+  Task* parent = w.fold_parent;
+  const std::uint32_t n = w.fold_count;
+  w.fold_parent = nullptr;
+  w.fold_count = 0;
+  // The replaying task's body still holds its own reference, so this never
+  // drops the last one in practice; the chain walk keeps it correct anyway.
+  if (parent->children_completed_and_release(n)) {
+    Task* grand = parent->parent();
+    dispose(w, *parent);
+    release_chain(w, grand);
+  }
+}
+
 void Scheduler::release_chain(Worker& w, Task* t) noexcept {
   while (t != nullptr && t->release_ref()) {
     Task* parent = t->parent();
@@ -1053,7 +1109,12 @@ void Scheduler::release_chain(Worker& w, Task* t) noexcept {
 void Scheduler::taskwait_from(Worker& w) {
   ++w.stats.taskwaits;
   Task* cur = w.current;
-  if (cur == nullptr || cur->unfinished_children() == 0) return;
+  if (cur == nullptr) return;
+  // Settle point: cur's unused spawn slots go back before its child count
+  // is read, and announcements this worker owes anyone are paid.
+  settle_charge(w);
+  flush_fold(w);
+  if (cur->unfinished_children() == 0) return;
   // No accounting flush here: the wait relies on the exact per-parent
   // unfinished_children counter, not live_tasks, and a worker inside a
   // taskwait has not arrived at the barrier, so the barrier cannot open on
@@ -1074,12 +1135,16 @@ void Scheduler::taskwait_from(Worker& w) {
     w.parked_recheck = true;
   }
   Backoff backoff;
-  while (cur->unfinished_children() != 0) {
+  for (;;) {
+    // A waiter pays its own fold before reading: replayed nodes it retired
+    // itself are cur's children too.
+    if (w.fold_parent == cur) flush_fold(w);
+    if (cur->unfinished_children() == 0) break;
     if (Task* t = find_work(w)) {
       execute_deferred(w, *t);
       backoff.reset();
     } else {
-      if (cfg_.batch_accounting) flush_accounting(w);
+      flush_accounting(w);
       backoff.pause();
     }
   }
@@ -1108,7 +1173,8 @@ void Scheduler::barrier_from(Worker& w) {
   // the global counter never undercounts: zero really means quiescent.
   // Negative deltas only overcount and merely keep the barrier spinning one
   // more round until the idle-path flush.
-  if (cfg_.batch_accounting) flush_accounting(w);
+  settle_charge(w);
+  flush_accounting(w);
   w.barrier_draining = true;
   w.parked_recheck = true;  // the barrier suspends no tied task: drain all
   const std::uint32_t gen = r.barrier_gen.load(std::memory_order_acquire);
@@ -1123,7 +1189,7 @@ void Scheduler::barrier_from(Worker& w) {
         execute_deferred(w, *t);
         backoff.reset();
       } else {
-        if (cfg_.batch_accounting) flush_accounting(w);
+        flush_accounting(w);
         backoff.pause();
       }
     }
@@ -1135,7 +1201,7 @@ void Scheduler::barrier_from(Worker& w) {
         execute_deferred(w, *t);
         backoff.reset();
       } else {
-        if (cfg_.batch_accounting) flush_accounting(w);
+        flush_accounting(w);
         backoff.pause();
       }
     }
@@ -1172,6 +1238,8 @@ void Scheduler::run_inline_scope(Worker& w, const std::function<void()>& body) {
 
   Task* prev = w.current;
   const std::uint32_t prev_inline = w.inline_depth;
+  const SpawnCharge prev_charge = w.charge;
+  w.charge = {};
   w.inline_depth = 0;  // the frame's depth already accounts for inline frames
   w.current = frame;
   std::exception_ptr eptr;
@@ -1180,9 +1248,10 @@ void Scheduler::run_inline_scope(Worker& w, const std::function<void()>& body) {
   } catch (...) {
     eptr = std::current_exception();
   }
-  taskwait_from(w);  // join the nested region's direct children
+  taskwait_from(w);  // join the nested region's direct children (settles)
   frame->destroy_env();
   w.current = prev;
+  w.charge = prev_charge;
   w.inline_depth = prev_inline;
   Task* frame_parent = frame->parent();
   if (frame_parent != nullptr) frame_parent->child_completed();

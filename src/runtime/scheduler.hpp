@@ -69,6 +69,14 @@
 //   retuned at runtime per spawn site by the GrainTable (grain.hpp) when
 //   use_adaptive_grain is on, resetting to the seeded base at region start.
 //   The scheduler core only executes decisions.
+// * Generator-side cache lines: a task that keeps spawning pre-charges its
+//   own state word with SpawnCharge::batch child slots in one RMW instead of
+//   one RMW per spawn (settled at every taskwait, barrier, request join and
+//   body end), and the deque's push checks fullness against an
+//   owner-private copy of `top`. Thieves RMW both lines on every steal and
+//   finish, so per-spawn accesses to them were per-spawn cache misses.
+//   Replayed graph nodes fold their completion announcements the same way
+//   (Worker::fold_parent, one RMW per Worker::fold_batch nodes).
 // * Zero-alloc undeferred execution: when spawn_if's condition is false or
 //   the cut-off refuses deferral, the closure runs directly on the parent's
 //   frame with no descriptor at all (detail::run_inline_fast): depth is
@@ -309,6 +317,23 @@ struct PolicySnapshot {
   bool watchdog_cancel = false;
 };
 
+/// Pre-charged spawn slots of the task a worker is running (Worker::charge).
+/// The first spawns after a settle point charge the parent one child and
+/// one reference each, so spawn-one-wait-one code (fib, a taskwait per
+/// spawn) pays exactly one RMW per spawn as before. From the
+/// first_batched-th spawn on, one RMW charges `batch` slots and the next
+/// spawns take them for free: a generator loop touches its own state word —
+/// which every thief finishing one of its children RMWs too — once per
+/// batch instead of once per spawn. Unused slots go back (Task::
+/// return_slots) and the count resets at every settle point: taskwait,
+/// barrier, before a request root's join, and when the task's body ends.
+struct SpawnCharge {
+  static constexpr std::uint32_t batch = 16;
+  static constexpr std::uint32_t first_batched = 3;
+  std::uint32_t slots = 0;   ///< charged on the running task, not handed out
+  std::uint32_t spawns = 0;  ///< its spawns since its last settle point
+};
+
 /// Internal per-worker state. Public members: this type is an implementation
 /// detail shared between the scheduler core and the inline spawn fast path.
 class Worker {
@@ -401,6 +426,18 @@ class Worker {
   std::int64_t live_delta = 0;     ///< unflushed Region::live_tasks change
   std::uint32_t acct_ops = 0;      ///< spawns/finishes since the last flush
   bool barrier_draining = false;   ///< arrived at a barrier: increments flush eagerly
+  /// Spawn slots of `current` (see SpawnCharge), so they always belong to
+  /// the task now running here: saved and cleared when an undeferred child
+  /// or a request/nested-region frame takes over `current`, restored when
+  /// it returns. Deferred tasks start only at settle points, where it is
+  /// already empty.
+  SpawnCharge charge;
+  /// Folded replay completions: `fold_count` finished graph nodes whose
+  /// child+reference announcement to `fold_parent` (the replaying task) is
+  /// still owed, paid in one RMW per fold_batch (Scheduler::flush_fold).
+  static constexpr std::uint32_t fold_batch = 32;
+  Task* fold_parent = nullptr;
+  std::uint32_t fold_count = 0;
   /// Re-examine the own parked inbox on the next claim_parked. Eligibility
   /// of a parked task against THIS worker only changes when the worker's
   /// tied_stack changes, so between changes the own-inbox scan is skipped
@@ -758,6 +795,27 @@ class Scheduler {
 
   // ---- internal API used by the spawn fast path (do not call directly) ----
   [[nodiscard]] bool should_defer(Worker& w, std::uint32_t depth) noexcept;
+  /// Charge w.current one child + reference for a spawn (see SpawnCharge).
+  static void charge_parent(Worker& w) noexcept {
+    SpawnCharge& c = w.charge;
+    if (c.slots != 0) {
+      --c.slots;
+      return;
+    }
+    if (++c.spawns < SpawnCharge::first_batched) {
+      w.current->add_child_ref();
+      return;
+    }
+    w.current->add_children_bulk(SpawnCharge::batch);
+    c.slots = SpawnCharge::batch - 1;
+  }
+  /// Settle point of w.current: unused slots go back, the count resets.
+  /// (No spawns means no slots: a leaf task's settle is one load.)
+  static void settle_charge(Worker& w) noexcept {
+    if (w.charge.spawns == 0) return;
+    if (w.charge.slots != 0) w.current->return_slots(w.charge.slots);
+    w.charge = {};
+  }
   Task* alloc_task(Worker& w, TaskStorage& storage_out);
   void enqueue(Worker& w, Task& t);
   /// Publication point for a split-off range half (worksharing.hpp): with
@@ -851,6 +909,11 @@ class Scheduler {
   /// enqueue the ones that hit zero. Discards release too, so a cancelled
   /// DAG or replay drains instead of deadlocking.
   void release_successors(Worker& w, Task& t) noexcept;
+  /// Announce a finished, exclusive graph node to its parent through the
+  /// worker's fold (replayed nodes only; see Worker::fold_parent).
+  void fold_completion(Worker& w, Task& parent) noexcept;
+  /// Pay the fold's owed announcements in one RMW.
+  void flush_fold(Worker& w) noexcept;
 
   SchedulerConfig cfg_;
   Topology topo_;
@@ -1079,9 +1142,8 @@ void spawn(Tiedness tied, F&& f) {
   }
   t->init_env(std::forward<F>(f));
   w->stats.env_bytes += t->env_bytes();
-  Task* parent = w->current;
-  parent->add_child_ref();
-  t->set_links(parent, depth, tied, storage);
+  Scheduler::charge_parent(*w);
+  t->set_links(w->current, depth, tied, storage);
   if (defer) {
     ++w->stats.tasks_deferred;
     trace_record(w->ring, TraceEvent::spawn, depth, 1);
@@ -1132,9 +1194,8 @@ void spawn_if(bool condition, Tiedness tied, F&& f) {
   }
   t->init_env(std::forward<F>(f));
   w->stats.env_bytes += t->env_bytes();
-  Task* parent = w->current;
-  parent->add_child_ref();
-  t->set_links(parent, depth, tied, storage);
+  Scheduler::charge_parent(*w);
+  t->set_links(w->current, depth, tied, storage);
   s.run_undeferred(*w, *t);
 }
 

@@ -37,7 +37,7 @@ enum class TaskStorage : std::uint8_t {
   stack_frame,  ///< implicit/root task living on a worker's stack; never freed
   pooled,       ///< carved by a worker's TaskPool; freed back to a pool
   heap,         ///< plain new/delete (use_task_pool = false)
-  graph         ///< owned by a frozen TaskGraph; reset in place per replay
+  graph         ///< owned by a frozen TaskGraph; re-armed on release
 };
 
 /// Static per-closure-type operations table. One immutable instance exists
@@ -96,7 +96,15 @@ class Task {
 
   void invoke() { ops_->invoke(*this); }
 
+  /// End of one dispatch: destroy the environment. A graph-owned descriptor
+  /// keeps its recorded closure for the next replay — the TaskGraph destroys
+  /// it (destroy_graph_env) when it re-records or dies.
   void destroy_env() noexcept {
+    if (env_ != nullptr && storage_ != TaskStorage::graph) {
+      ops_->destroy_env(*this);
+    }
+  }
+  void destroy_graph_env() noexcept {
     if (env_ != nullptr) ops_->destroy_env(*this);
   }
 
@@ -142,6 +150,16 @@ class Task {
   // live in ONE 64-bit atomic: a spawn charges its parent one reference and
   // one unfinished child in a single RMW, halving the parent-cacheline
   // traffic of the spawn and finish fast paths.
+  //
+  // Pre-charged slots: a task that keeps spawning charges itself
+  // SpawnCharge::batch child+reference pairs in one RMW and hands them out
+  // to later spawns without touching the word (Worker::charge). Unused
+  // slots are phantom children: they are added, like every other child, by
+  // this task's own executor only, and that executor returns them
+  // (return_slots) at every settle point — taskwait, barrier, the request
+  // join and the end of the task's body — before it reads the child count
+  // or exclusive() can be read. Every invariant below therefore holds with
+  // slots counted as children.
   static constexpr std::uint64_t ref_one = 1;
   static constexpr std::uint64_t child_one = std::uint64_t{1} << 32;
   static constexpr std::uint64_t ref_mask = child_one - 1;
@@ -150,11 +168,16 @@ class Task {
     state_.fetch_add(child_one + ref_one, std::memory_order_relaxed);
   }
 
-  /// Bulk add_child_ref for graph replay: charge the parent `n` children and
-  /// `n` references in ONE RMW before any replayed root is enqueued — the
-  /// per-spawn parent-cacheline traffic a replay exists to avoid.
+  /// Charge `n` children and `n` references in ONE RMW: a graph replay
+  /// before any root is enqueued, or a batch of pre-charged spawn slots.
   void add_children_bulk(std::uint64_t n) noexcept {
     state_.fetch_add(n * (child_one + ref_one), std::memory_order_relaxed);
+  }
+
+  /// The executor hands back `n` pre-charged slots it did not use. Never
+  /// the last reference: the executor's own body still holds one.
+  void return_slots(std::uint64_t n) noexcept {
+    state_.fetch_sub(n * (child_one + ref_one), std::memory_order_acq_rel);
   }
 
   /// One extra reference with no child charge — the dependence tracker's
@@ -175,8 +198,16 @@ class Task {
   /// the completion and drops the child's reference. Returns true when this
   /// was the last reference and the caller must recycle the descriptor.
   [[nodiscard]] bool child_completed_and_release() noexcept {
-    return (state_.fetch_sub(child_one + ref_one, std::memory_order_acq_rel) &
-            ref_mask) == 1;
+    return children_completed_and_release(1);
+  }
+
+  /// `n` completions and their references in one RMW (folded replay
+  /// completions, Scheduler::flush_fold). True when this dropped the last
+  /// reference.
+  [[nodiscard]] bool children_completed_and_release(std::uint64_t n) noexcept {
+    return (state_.fetch_sub(n * (child_one + ref_one),
+                             std::memory_order_acq_rel) &
+            ref_mask) == n;
   }
 
   [[nodiscard]] std::uint32_t unfinished_children() const noexcept {
@@ -186,11 +217,13 @@ class Task {
 
   /// Exclusivity probe for the fused finish path: true when the state word
   /// reads exactly one reference and zero unfinished children. References
-  /// and children are only ever added by this task's own executor (spawn),
-  /// so once the body has finished both counts can only decrease — an
-  /// observed ref_one is stable, and the caller owns the descriptor outright
-  /// with no RMW needed. (children > 0 implies refs >= 2, since every live
-  /// child holds a reference, so ref_one alone proves both halves.)
+  /// and children — pre-charged slots included — are only ever added by
+  /// this task's own executor (spawn), which settles its unused slots when
+  /// the body ends, before this is read; so once the body has finished both
+  /// counts can only decrease — an observed ref_one is stable, and the
+  /// caller owns the descriptor outright with no RMW needed. (children > 0
+  /// implies refs >= 2, since every live child or slot holds a reference,
+  /// so ref_one alone proves both halves.)
   [[nodiscard]] bool exclusive() const noexcept {
     return state_.load(std::memory_order_acquire) == ref_one;
   }
@@ -198,9 +231,11 @@ class Task {
   /// Drops one reference; returns true when this was the last one and the
   /// caller must recycle the descriptor (and then drop the parent's ref).
   /// Fast path: observing exactly one reference and no unfinished children
-  /// means every party that ever held a reference is gone (references are
-  /// only ever added by this task's own executor, in spawn), so the caller
-  /// is exclusive and no RMW is needed — leaf tasks release with one load.
+  /// means every party that ever held a reference is gone (references,
+  /// pre-charged slots included, are only ever added by this task's own
+  /// executor, in spawn, and its slots are settled before its own reference
+  /// drops), so the caller is exclusive and no RMW is needed — leaf tasks
+  /// release with one load.
   [[nodiscard]] bool release_ref() noexcept {
     if (state_.load(std::memory_order_acquire) == ref_one) return true;
     return (state_.fetch_sub(ref_one, std::memory_order_acq_rel) & ref_mask) ==
@@ -219,6 +254,16 @@ class Task {
     range_ = nullptr;
     ctx_ = nullptr;  // a recycled descriptor must not leak its old request
     dep_ = nullptr;  // dependence node dies with the scope that allocated it
+    state_.store(ref_one, std::memory_order_relaxed);
+  }
+
+  /// Graph replay: hang the node under this replay's parent, back to one
+  /// reference and no children, for its next dispatch. Tiedness, storage,
+  /// dep node and the recorded closure stay from the recording.
+  void rearm(Task* parent, std::uint32_t depth, RegionCtx* ctx) noexcept {
+    parent_ = parent;
+    depth_ = depth;
+    ctx_ = ctx;
     state_.store(ref_one, std::memory_order_relaxed);
   }
 

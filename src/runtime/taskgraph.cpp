@@ -11,21 +11,30 @@ namespace bots::rt {
 // ---------------------------------------------------------------------------
 
 void TaskGraph::begin_record(const void* key) {
-  nodes_.clear();
+  clear_nodes();
   rec_edges_.clear();
   succ_storage_.clear();
   roots_.clear();
+  env_bytes_ = 0;
   key_ = key;
   epoch_ = 0;
   frozen_ = false;
   aborted_ = false;
 }
 
-std::uint32_t TaskGraph::record_node(std::function<void()> body, Tiedness t) {
-  Node& n = nodes_.emplace_back();
-  n.body = std::move(body);
-  n.tied = t;
-  return static_cast<std::uint32_t>(nodes_.size() - 1);
+void TaskGraph::clear_nodes() noexcept {
+  for (std::uint32_t i = 0; i < count_; ++i) node(i).task.destroy_graph_env();
+  chunks_.clear();
+  count_ = 0;
+}
+
+GraphRecorder::NodeSlot TaskGraph::record_node(Tiedness t) {
+  if ((count_ >> chunk_shift) == chunks_.size()) {
+    chunks_.push_back(std::make_unique<Node[]>(chunk_nodes));
+  }
+  Node& n = node(count_);
+  n.task.set_links(nullptr, 0, t, TaskStorage::graph);
+  return {&n.task, count_++};
 }
 
 void TaskGraph::record_edge(std::uint32_t pred, std::uint32_t succ) {
@@ -39,11 +48,11 @@ void TaskGraph::freeze(Worker& w) {
     // The executed structure diverged from the recorded one (a spawn
     // degraded to inline under allocation failure): the recording is void.
     // Stay un-frozen; the next invocation simply records again.
-    nodes_.clear();
+    clear_nodes();
     rec_edges_.clear();
     return;
   }
-  const std::uint32_t n = static_cast<std::uint32_t>(nodes_.size());
+  const std::uint32_t n = count_;
   // Bake the edge list into CSR successor spans + predecessor counts. The
   // edges came from the tracker's PREDECESSOR computation (structural), not
   // from which pushes raced a finishing task, so the baked graph is
@@ -55,14 +64,18 @@ void TaskGraph::freeze(Worker& w) {
   std::vector<std::uint32_t> cursor(offset.begin(), offset.end() - 1);
   for (const auto& e : rec_edges_) {
     succ_storage_[cursor[e.first]++] = e.second;
-    ++nodes_[e.second].npred;
+    ++node(e.second).npred;
   }
   for (std::uint32_t i = 0; i < n; ++i) {
-    Node& nd = nodes_[i];
+    Node& nd = node(i);
     nd.dep.task = &nd.task;
     nd.dep.graph = this;
     nd.dep.baked_succs = succ_storage_.data() + offset[i];
     nd.dep.baked_count = offset[i + 1] - offset[i];
+    // Armed for the first replay; each release re-arms it for the next.
+    nd.dep.pending.store(nd.npred, std::memory_order_relaxed);
+    nd.task.set_dep(&nd.dep);
+    env_bytes_ += nd.task.env_bytes();
     if (nd.npred == 0) roots_.push_back(i);
   }
   rec_edges_.clear();
@@ -83,53 +96,58 @@ void TaskGraph::freeze(Worker& w) {
 // Replay
 // ---------------------------------------------------------------------------
 
+void TaskGraph::arm(Node& n) noexcept {
+  // The node's previous dispatch is over (the previous replay joined it),
+  // and this replay's predecessors have all released it: nobody else
+  // touches it until the enqueue that follows publishes it.
+  n.task.rearm(replay_parent_, replay_depth_, replay_ctx_);
+  n.dep.pending.store(n.npred, std::memory_order_relaxed);
+}
+
 void TaskGraph::replay(Worker& w) {
   Scheduler& s = *w.sched;
   ++w.stats.graphs_replayed;
   ++replays_;
-  const std::size_t n = nodes_.size();
-  if (n == 0) return;
+  if (count_ == 0) return;
+  const std::uint64_t n = count_;
   Task* parent = w.current;
-  const std::uint32_t depth =
-      (parent != nullptr ? parent->depth() + 1 : 1) + w.inline_depth;
+  replay_parent_ = parent;
+  replay_depth_ = parent->depth() + 1 + w.inline_depth;
+  replay_ctx_ = parent->ctx();
   // One RMW charges the parent every child + reference of the whole graph —
   // the per-spawn parent-cacheline traffic a replay exists to avoid.
   parent->add_children_bulk(n);
-  for (Node& nd : nodes_) {
-    Task& t = nd.task;
-    t.reset_for_reuse();
-    t.set_links(parent, depth, nd.tied, TaskStorage::graph);
-    t.set_dep(&nd.dep);
-    // No concurrent access until a root is published below, so plain-speed
-    // stores re-arm the counters.
-    nd.dep.pending.store(nd.npred, std::memory_order_relaxed);
-    t.init_env(BodyRef{&nd.body});
-    w.stats.env_bytes += t.env_bytes();
-  }
   // Bulk spawn-side accounting, BEFORE any root is published: the creation
   // invariant (created == deferred on this path) and the region/request
   // live counts can only ever overcount in-flight work, never open a
   // barrier early.
   w.stats.tasks_created += n;
   w.stats.tasks_deferred += n;
+  w.stats.env_bytes += env_bytes_;
   // One weighted record for the whole replayed graph (payload = node count)
   // keeps the spawn counter in lockstep with the bulk deferred accounting.
   trace_record(w.ring, TraceEvent::spawn, n, 1, n);
   w.region->live_tasks.fetch_add(static_cast<std::int64_t>(n),
                                  std::memory_order_release);
-  if (RegionCtx* c = parent->ctx()) c->note_deferred_bulk(n);
+  if (replay_ctx_ != nullptr) replay_ctx_->note_deferred_bulk(n);
   // Workers start from the recorded root frontier; interior nodes surface
   // through the finish-path successor walk exactly as their predecessors
-  // retire (execute or discard — a cancelled replay drains by discards).
-  for (std::uint32_t r : roots_) s.enqueue_released(w, nodes_[r].task);
+  // retire (execute or discard — a cancelled replay drains by discards, and
+  // re-arms every node on the way).
+  for (std::uint32_t r : roots_) {
+    Node& root = node(r);
+    arm(root);
+    s.enqueue_released(w, root.task);
+  }
   s.taskwait_from(w);
 }
 
 void TaskGraph::release_baked(Worker& w, DepNode& n) noexcept {
   w.stats.edges_resolved += n.baked_count;
   for (std::uint32_t i = 0; i < n.baked_count; ++i) {
-    Node& succ = nodes_[n.baked_succs[i]];
+    Node& succ = node(n.baked_succs[i]);
     if (succ.dep.pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      arm(succ);
       w.sched->enqueue_released(w, succ.task);
     }
   }

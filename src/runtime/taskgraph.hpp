@@ -7,16 +7,24 @@
 // per-spawn parent RMWs. Record-and-replay amortises all of it. The FIRST
 // execution of a region wrapped in rt::graph_region(tag, key, build) runs
 // the build function under a recording DepScope and freezes the structure
-// it produced — task bodies, tiedness, every dependence edge — into an
-// arena-backed TaskGraph with a CSR successor table and pre-counted
-// predecessor counters. Every LATER invocation replays the frozen graph:
+// it produced — task bodies, tiedness, every dependence edge — into a
+// TaskGraph with a CSR successor table and pre-counted predecessor
+// counters. Every LATER invocation replays the frozen graph:
 //
 //   * no tracker: predecessor counts are baked (DepNode::pending is a
 //     store, not a hash probe + edge push),
-//   * no descriptor allocation: each node owns its Task descriptor
-//     (TaskStorage::graph) and is reset in place per replay,
+//   * no descriptor or closure allocation: each node owns its Task
+//     descriptor (TaskStorage::graph), nodes sit in contiguous chunks, and
+//     the recorded closure lives in the node's own environment — copied
+//     once at record, invoked once per replay, destroyed when the graph
+//     re-records or dies,
+//   * no per-replay reset pass: a node is re-armed on release (links,
+//     state word, pending count for the next replay) by whoever releases
+//     it — the replaying thread for roots, the finishing predecessor
+//     otherwise,
 //   * no per-spawn parent traffic: ONE add_children_bulk RMW charges the
-//     parent for the whole graph,
+//     parent for the whole graph, and workers fold their nodes' completion
+//     announcements into one RMW per Worker::fold_batch,
 //   * workers start from the recorded ROOT frontier; interior nodes are
 //     released by the ordinary finish-path successor walk.
 //
@@ -31,15 +39,15 @@
 // retried on the next invocation.
 //
 // Concurrency. One graph supports ONE record or replay in flight at a time
-// (replay resets node state in place). Concurrent invocations of the same
+// (replay re-arms node state in place). Concurrent invocations of the same
 // tag must be serialised by the caller; TaskServer::submit_graph does this
 // with a per-tag busy flag, falling back to plain dynamic dependence
 // tracking for the loser.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -54,6 +62,7 @@ class TaskGraph final : public GraphRecorder {
   TaskGraph() = default;
   TaskGraph(const TaskGraph&) = delete;
   TaskGraph& operator=(const TaskGraph&) = delete;
+  ~TaskGraph() { clear_nodes(); }
 
   [[nodiscard]] bool frozen() const noexcept { return frozen_; }
   /// A frozen graph is replayable only for the scheduler shape and buffer
@@ -61,7 +70,7 @@ class TaskGraph final : public GraphRecorder {
   [[nodiscard]] bool valid_for(const Scheduler& s, const void* key) const noexcept {
     return frozen_ && epoch_ == s.graph_epoch() && key_ == key;
   }
-  [[nodiscard]] std::size_t node_count() const noexcept { return nodes_.size(); }
+  [[nodiscard]] std::size_t node_count() const noexcept { return count_; }
   [[nodiscard]] std::size_t edge_count() const noexcept {
     return succ_storage_.size();
   }
@@ -71,8 +80,8 @@ class TaskGraph final : public GraphRecorder {
   /// to `key`.
   void begin_record(const void* key);
   /// Bake the captured structure: CSR successor table, predecessor counts,
-  /// root frontier, epoch + key stamp. No-op (stays un-frozen) when the
-  /// recording aborted.
+  /// root frontier, environment bytes, epoch + key stamp. No-op (stays
+  /// un-frozen) when the recording aborted.
   void freeze(Worker& w);
   /// Dispatch the frozen graph under the caller's current task and join it.
   void replay(Worker& w);
@@ -81,29 +90,42 @@ class TaskGraph final : public GraphRecorder {
   void release_baked(Worker& w, DepNode& n) noexcept;
 
   // -- GraphRecorder (driven by the recording DepScope) -----------------------
-  std::uint32_t record_node(std::function<void()> body, Tiedness t) override;
+  NodeSlot record_node(Tiedness t) override;
   void record_edge(std::uint32_t pred, std::uint32_t succ) override;
   void record_abort() noexcept override;
 
  private:
   struct Node {
-    Task task;                    ///< owned descriptor, reset per replay
-    std::function<void()> body;   ///< re-invocable recorded body
-    DepNode dep;                  ///< baked-successor span + pending counter
-    Tiedness tied = Tiedness::tied;
-    std::uint32_t npred = 0;      ///< baked predecessor count
+    Task task;    ///< owned descriptor; its environment is the recorded body
+    DepNode dep;  ///< baked-successor span + pending counter
+    std::uint32_t npred = 0;  ///< baked predecessor count
   };
+  /// Nodes are immovable (atomics, Task), so they live in fixed chunks.
+  static constexpr std::uint32_t chunk_shift = 6;
+  static constexpr std::uint32_t chunk_nodes = 1u << chunk_shift;
 
-  /// Replay thunk: 8-byte env pointing at the node's owned body.
-  struct BodyRef {
-    const std::function<void()>* fn;
-    void operator()() const { (*fn)(); }
-  };
+  [[nodiscard]] Node& node(std::uint32_t i) noexcept {
+    return chunks_[i >> chunk_shift][i & (chunk_nodes - 1)];
+  }
+  /// Set node `n` up for this replay's dispatch; its releaser calls this
+  /// just before enqueueing it.
+  void arm(Node& n) noexcept;
+  /// Destroy every recorded closure and drop the nodes.
+  void clear_nodes() noexcept;
 
-  std::deque<Node> nodes_;  ///< deque: Node is immovable (atomics, Task)
+  std::vector<std::unique_ptr<Node[]>> chunks_;
+  std::uint32_t count_ = 0;
   std::vector<std::pair<std::uint32_t, std::uint32_t>> rec_edges_;
   std::vector<std::uint32_t> succ_storage_;  ///< CSR payload for baked_succs
   std::vector<std::uint32_t> roots_;         ///< nodes with npred == 0
+  std::uint64_t env_bytes_ = 0;  ///< summed closure sizes, charged per replay
+  /// Where the current replay hangs its nodes: the replaying task, the
+  /// depth below it and its request context (copied here so re-arming a
+  /// node never reads the parent's descriptor, whose state word the nodes'
+  /// completions keep busy). Written before any root is published.
+  Task* replay_parent_ = nullptr;
+  RegionCtx* replay_ctx_ = nullptr;
+  std::uint32_t replay_depth_ = 0;
   const void* key_ = nullptr;
   std::uint64_t epoch_ = 0;
   std::uint64_t replays_ = 0;

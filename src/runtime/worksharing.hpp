@@ -320,7 +320,7 @@ void spawn_range(RangeSite site, Tiedness tied, std::int64_t lo,
       detail::RangeRunner<Body>{{lo, hi, grain}, std::move(body), ctrl});
   w->stats.env_bytes += t->env_bytes();
   Task* parent = w->current;
-  parent->add_child_ref();
+  Scheduler::charge_parent(*w);
   const std::uint32_t depth = parent->depth() + 1 + w->inline_depth;
   t->set_links(parent, depth, tied, storage);
   t->set_range(&t->env_as<detail::RangeRunner<Body>>()->desc);

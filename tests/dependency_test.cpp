@@ -403,6 +403,85 @@ TEST(TaskGraphReplay, ReconfigureInvalidatesRecordedGraphs) {
   expect_accounting_balanced(s.stats());
 }
 
+/// Counts the copies of a recorded body and how many are alive.
+struct CountedBody {
+  static inline std::atomic<int> copies{0};
+  static inline std::atomic<int> alive{0};
+  static inline std::atomic<int> runs{0};
+  CountedBody() { alive.fetch_add(1); }
+  CountedBody(const CountedBody&) {
+    copies.fetch_add(1);
+    alive.fetch_add(1);
+  }
+  CountedBody(CountedBody&&) noexcept { alive.fetch_add(1); }
+  CountedBody& operator=(const CountedBody&) = delete;
+  ~CountedBody() { alive.fetch_sub(1); }
+  void run() const { runs.fetch_add(1); }
+};
+
+TEST(TaskGraphReplay, RecordedClosuresLiveExactlyAsLongAsTheirRecording) {
+  // A recorded body is copied into its node once at record (the live task
+  // gets the moved original), invoked in place by every replay, and
+  // destroyed exactly once: when the graph re-records — for a new key or
+  // after an epoch bump — or when its owner (here the scheduler's tag
+  // registry) dies.
+  constexpr int kNodes = 3;
+  CountedBody::copies = 0;
+  CountedBody::alive = 0;
+  CountedBody::runs = 0;
+  const auto build_for = [](std::uint64_t* cell) {
+    return [cell](rt::DepScope& sc) {
+      for (int i = 0; i < kNodes; ++i) {
+        sc.spawn({rt::inout(*cell)}, [cell, body = CountedBody{}] {
+          body.run();
+          ++*cell;
+        });
+      }
+    };
+  };
+  std::uint64_t a = 0;
+  std::uint64_t b = 0;
+  {
+    rt::Scheduler s(clean_cfg(4));
+    const auto invoke = [&](std::uint64_t* cell) {
+      s.run_single([&] { rt::graph_region("test.counted", cell, build_for(cell)); });
+    };
+    invoke(&a);  // record
+    EXPECT_EQ(CountedBody::copies.load(), kNodes);
+    EXPECT_EQ(CountedBody::alive.load(), kNodes);
+    EXPECT_EQ(CountedBody::runs.load(), kNodes);
+    const std::uint64_t record_env = s.stats().total.env_bytes;
+    EXPECT_GT(record_env, 0u);
+    invoke(&a);  // replays run the graph's copies in place
+    invoke(&a);
+    EXPECT_EQ(CountedBody::copies.load(), kNodes);
+    EXPECT_EQ(CountedBody::alive.load(), kNodes);
+    EXPECT_EQ(CountedBody::runs.load(), 3 * kNodes);
+    EXPECT_EQ(a, 3u * kNodes);
+    // A replay captures the same environments as the run that recorded it.
+    EXPECT_EQ(s.stats().total.env_bytes, 3 * record_env);
+
+    invoke(&b);  // new key: re-record, the old copies die once
+    EXPECT_EQ(CountedBody::copies.load(), 2 * kNodes);
+    EXPECT_EQ(CountedBody::alive.load(), kNodes);
+    EXPECT_EQ(CountedBody::runs.load(), 4 * kNodes);
+
+    s.reconfigure(rt::StealPolicyKind::last_victim, "");
+    invoke(&b);  // epoch invalidated: re-record again
+    EXPECT_EQ(CountedBody::copies.load(), 3 * kNodes);
+    EXPECT_EQ(CountedBody::alive.load(), kNodes);
+    invoke(&b);  // and replay the new recording
+    EXPECT_EQ(CountedBody::copies.load(), 3 * kNodes);
+    EXPECT_EQ(CountedBody::runs.load(), 6 * kNodes);
+    EXPECT_EQ(b, 3u * kNodes);
+    const auto t = s.stats().total;
+    EXPECT_EQ(t.graphs_recorded, 3u);
+    EXPECT_EQ(t.graphs_replayed, 3u);
+    expect_accounting_balanced(s.stats());
+  }
+  EXPECT_EQ(CountedBody::alive.load(), 0);  // the registry's graph died
+}
+
 // ---------------------------------------------------------------------------
 // Cancellation and deadlines mid-replay: ledgers stay balanced, the graph
 // stays reusable.
@@ -451,13 +530,16 @@ TEST(TaskGraphReplay, CancelMidReplayDrainsByDiscardsAndGraphSurvives) {
   expect_accounting_balanced(s.stats());
   const auto t = s.stats().total;
   EXPECT_GT(t.tasks_discarded, 0u);
-  // The graph replays cleanly again after a cancelled replay (descriptors
-  // reset in place).
+  // The graph replays cleanly again after a cancelled replay: every node,
+  // the discarded ones included, was re-armed when its predecessor released
+  // it, so the next replay runs the whole graph.
   cancel_mode.store(false);
   acc = 0;
+  executed.store(0);
   res = s.run_single([&] { rt::run_graph_region(s, g, &acc, build); },
                      std::chrono::milliseconds(0));
   EXPECT_EQ(res.status, rt::RegionStatus::completed);
+  EXPECT_EQ(executed.load(), 41);
   EXPECT_EQ(acc, 41u);
   EXPECT_EQ(s.stats().total.graphs_recorded, 1u);
   EXPECT_EQ(s.stats().total.graphs_replayed, 3u);

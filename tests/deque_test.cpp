@@ -274,6 +274,68 @@ TEST(Deque, ConcurrentStealBatchClaimsEachTaskOnce) {
   EXPECT_EQ(popped + stolen.load(), total);
 }
 
+/// The owner checks fullness against its private copy of `top` and reads
+/// the shared one only when the ring looks full. Drive that refresh, and
+/// the grow behind it, while thieves keep moving `top`: the owner pushes
+/// 64x the initial capacity in bursts of three rings' worth, popping between
+/// bursts, as three threads raid with steal_batch. Every task must be taken
+/// exactly once, and the ring must have grown along the way.
+TEST(Deque, CachedTopGrowsUnderConcurrentStealBatch) {
+  constexpr std::size_t initial = 16;
+  constexpr std::size_t total = initial * 64;
+  constexpr std::size_t burst = initial * 3;
+  constexpr int n_thieves = 3;
+  rt::WorkStealingDeque d(initial);
+  ASSERT_EQ(d.capacity(), initial);
+  TaskArena a(total);
+  std::vector<std::atomic<int>> claimed(total);
+  auto claim = [&](rt::Task* t) {
+    claimed[static_cast<std::size_t>(t - a.at(0))].fetch_add(
+        1, std::memory_order_relaxed);
+  };
+
+  std::atomic<bool> done{false};
+  std::atomic<std::size_t> stolen{0};
+  std::vector<std::thread> thieves;
+  thieves.reserve(n_thieves);
+  for (int i = 0; i < n_thieves; ++i) {
+    thieves.emplace_back([&] {
+      rt::Task* batch[8];
+      auto raid = [&] {
+        const std::size_t n = d.steal_batch(batch, 8);
+        for (std::size_t k = 0; k < n; ++k) claim(batch[k]);
+        stolen.fetch_add(n, std::memory_order_relaxed);
+      };
+      while (!done.load(std::memory_order_acquire)) raid();
+      raid();  // one last look after the owner stopped
+    });
+  }
+
+  std::size_t popped = 0;
+  for (std::size_t i = 0; i < total; ++i) {
+    d.push(a.at(i));
+    if (i % burst == burst - 1) {
+      if (rt::Task* t = d.pop()) {
+        claim(t);
+        ++popped;
+      }
+    }
+  }
+  const std::size_t grown_to = d.capacity();
+  done.store(true, std::memory_order_release);
+  for (auto& th : thieves) th.join();
+  while (rt::Task* t = d.pop()) {
+    claim(t);
+    ++popped;
+  }
+
+  for (std::size_t i = 0; i < total; ++i) {
+    ASSERT_EQ(claimed[i].load(), 1) << "task " << i;
+  }
+  EXPECT_EQ(popped + stolen.load(), total);
+  EXPECT_GT(grown_to, initial) << "the ring never grew";
+}
+
 // ---------------------------------------------------------------------------
 // TaskPool.
 // ---------------------------------------------------------------------------

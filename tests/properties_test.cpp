@@ -7,6 +7,8 @@
 #include <cstdint>
 #include <mutex>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <string_view>
 #include <thread>
 #include <unordered_map>
@@ -303,6 +305,95 @@ TEST(Properties, SingleGeneratorFloodsKeepPoolsBounded) {
               fresh_at_10 + kWorkers * (kWorkers - 1) *
                                 rt::RemoteStash::flush_batch)
         << topo << ": floods keep carving fresh descriptors";
+  }
+}
+
+TEST(Properties, PrechargedSpawnSlotsSettleOnEveryExitPath) {
+  // From its third spawn on, a task charges itself a batch of child slots
+  // in one RMW and hands the unused ones back at its next settle point.
+  // A slot that never came back would keep the task's reference count up
+  // forever — its descriptor would never return to the pool — or keep a
+  // request root's join waiting. Cover every way a spawning task can end:
+  // returning without a taskwait, throwing, running in a region cancelled
+  // mid-spawn, and being a TaskServer request root; for spawn counts below,
+  // at and past the batch boundaries.
+  const auto check = [](rt::Scheduler& sched, const std::string& what) {
+    const auto t = sched.stats().total;
+    EXPECT_EQ(t.pool_home_frees + t.pool_remote_frees,
+              t.pool_reuse + t.pool_fresh)
+        << what;
+    EXPECT_EQ(t.tasks_executed + t.tasks_discarded, t.tasks_deferred) << what;
+    for (const auto& n : sched.node_pool_snapshot()) {
+      EXPECT_EQ(n.in_transit, 0u) << what;
+      EXPECT_EQ(n.cached + n.arena_free, n.arena_carved) << what;
+    }
+  };
+  for (const char* topo : {"1x4", "2x2"}) {
+    rt::SchedulerConfig cfg;
+    cfg.num_threads = 4;
+    cfg.synthetic_topology = topo;
+    cfg.cutoff = rt::CutoffPolicy::none;  // every spawn takes a descriptor
+    cfg.use_task_pool = true;
+    cfg.use_node_pools = true;
+    cfg.fault_plan.clear();  // exact pool ledgers and the full team
+    rt::Scheduler sched(cfg);
+    ASSERT_EQ(sched.num_workers(), 4u) << topo;
+    std::atomic<int> ran{0};
+    const auto leaf = [&ran] { ran.fetch_add(1, std::memory_order_relaxed); };
+    for (const int n : {1, 2, 3, 17, 40}) {
+      const std::string what = std::string(topo) + " n=" + std::to_string(n);
+      // The implicit task spawns four generators (so it batches too) and
+      // both levels return without a taskwait: the generators settle at
+      // body end, the implicit task at the region barrier.
+      sched.run_single([&] {
+        for (int g = 0; g < 4; ++g) {
+          rt::spawn(rt::Tiedness::tied, [&, n] {
+            for (int i = 0; i < n; ++i) rt::spawn(rt::Tiedness::tied, leaf);
+          });
+        }
+      });
+      check(sched, what + " return");
+      EXPECT_THROW(sched.run_single([&] {
+                     rt::spawn(rt::Tiedness::untied, [&, n] {
+                       for (int i = 0; i < n; ++i) {
+                         rt::spawn(rt::Tiedness::untied, leaf);
+                       }
+                       throw std::runtime_error("after spawns");
+                     });
+                   }),
+                   std::runtime_error)
+          << what;
+      check(sched, what + " throw");
+      const rt::RegionResult res = sched.run_single(
+          [&, n] {
+            rt::spawn(rt::Tiedness::tied, [&, n] {
+              for (int i = 0; i < n; ++i) {
+                if (i == n / 2) rt::cancel_region();
+                rt::spawn(rt::Tiedness::tied, leaf);
+              }
+            });
+          },
+          std::chrono::milliseconds(0));
+      EXPECT_EQ(res.status, rt::RegionStatus::cancelled) << what;
+      check(sched, what + " cancel");
+    }
+    {
+      rt::TaskServer server(sched, rt::ServerConfig{});
+      std::vector<rt::RegionHandle> handles;
+      for (const int n : {1, 2, 3, 17, 40}) {
+        const rt::SubmitResult r = server.submit([&leaf, n] {
+          for (int i = 0; i < n; ++i) rt::spawn(rt::Tiedness::tied, leaf);
+        });
+        ASSERT_TRUE(r.admitted) << topo << " n=" << n;
+        handles.push_back(r.handle);
+      }
+      for (const auto& h : handles) {
+        EXPECT_EQ(h.wait(), rt::RequestStatus::completed) << topo;
+        EXPECT_TRUE(h.ledger_balanced()) << topo;
+      }
+      server.drain();
+    }
+    check(sched, std::string(topo) + " server");
   }
 }
 
