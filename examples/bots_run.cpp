@@ -88,77 +88,35 @@ void print_report(const core::RunReport& rep, bool with_stats) {
                     .c_str());
   }
   std::printf("\n");
-  if (with_stats) {
-    const auto& s = rep.runtime_stats;
-    std::printf(
-        "           tasks: created=%llu deferred=%llu if-inlined=%llu "
-        "cutoff-inlined=%llu stolen=%llu taskwaits=%llu env-bytes=%llu\n",
-        static_cast<unsigned long long>(s.tasks_created),
-        static_cast<unsigned long long>(s.tasks_deferred),
-        static_cast<unsigned long long>(s.tasks_if_inlined),
-        static_cast<unsigned long long>(s.tasks_cutoff_inlined),
-        static_cast<unsigned long long>(s.tasks_stolen),
-        static_cast<unsigned long long>(s.taskwaits),
-        static_cast<unsigned long long>(s.env_bytes));
-    std::printf(
-        "           locality: steals-local=%llu steals-remote=%llu "
-        "remote-probes-skipped=%llu pinned=%llu/%u grain: %s\n",
-        static_cast<unsigned long long>(s.steals_local_node),
-        static_cast<unsigned long long>(s.steals_remote_node),
-        static_cast<unsigned long long>(s.remote_probes_skipped),
-        static_cast<unsigned long long>(s.pinned), rep.threads,
-        rep.grain_sites.empty() ? "n/a" : rep.grain_sites.c_str());
-    std::printf(
-        "           pools: home-frees=%llu remote-frees=%llu "
-        "in-transit-high-water=%llu range-halves-redirected=%llu\n",
-        static_cast<unsigned long long>(s.pool_home_frees),
-        static_cast<unsigned long long>(s.pool_remote_frees),
-        static_cast<unsigned long long>(s.pool_migrations),
-        static_cast<unsigned long long>(s.range_halves_redirected));
-    // Dependence/replay counters (PR 8): printed only when the version
-    // actually declared dependences, so taskwait-based versions keep their
-    // existing --stats output byte-for-byte.
-    if (s.deps_declared != 0 || s.graphs_recorded != 0 ||
-        s.graphs_replayed != 0) {
-      std::printf(
-          "           deps: declared=%llu edges=%llu resolved=%llu "
-          "graphs: recorded=%llu replayed=%llu\n",
-          static_cast<unsigned long long>(s.deps_declared),
-          static_cast<unsigned long long>(s.deps_edges),
-          static_cast<unsigned long long>(s.edges_resolved),
-          static_cast<unsigned long long>(s.graphs_recorded),
-          static_cast<unsigned long long>(s.graphs_replayed));
+  if (!with_stats) return;
+  // Every non-zero scheduler counter as name=value, in declaration order.
+  std::string line;
+  rep.runtime_stats.for_each([&line](const char* name, std::uint64_t v) {
+    if (v == 0) return;
+    const std::string item = std::string(name) + "=" + std::to_string(v);
+    if (!line.empty() && line.size() + 1 + item.size() > 66) {
+      std::printf("           %s\n", line.c_str());
+      line.clear();
     }
-  }
+    line += (line.empty() ? "" : " ") + item;
+  });
+  if (!line.empty()) std::printf("           %s\n", line.c_str());
+  std::printf("           grain: %s\n",
+              rep.grain_sites.empty() ? "n/a" : rep.grain_sites.c_str());
 }
 
-// Fault-tolerance counters (PR 6), printed on the --stats channel only when
-// something actually happened — the common all-zero case stays silent so
-// existing --stats consumers see unchanged output.
-void print_fault_report(const rt::Scheduler& sched,
-                        const core::RunReport& rep) {
-  const auto& s = rep.runtime_stats;
+// Region-level fault state, printed on the --stats channel only when
+// something happened (the fault counters themselves print with the rest).
+void print_fault_report(const rt::Scheduler& sched) {
   const std::uint64_t stalls = sched.stalls_detected();
-  if (s.faults_injected == 0 && s.tasks_retried == 0 &&
-      s.pool_alloc_fallbacks == 0 && s.tasks_degraded_inline == 0 &&
-      s.tasks_discarded == 0 && s.tasks_discarded_inline == 0 &&
-      stalls == 0 && !sched.team_degraded() &&
+  if (stalls == 0 && !sched.team_degraded() &&
       sched.last_region_status() == rt::RegionStatus::completed) {
     return;
   }
-  std::printf(
-      "           faults: injected=%llu retried=%llu pool-fallbacks=%llu "
-      "degraded-inline=%llu discarded=%llu+%llu stalls=%llu "
-      "team-degraded=%s status=%s\n",
-      static_cast<unsigned long long>(s.faults_injected),
-      static_cast<unsigned long long>(s.tasks_retried),
-      static_cast<unsigned long long>(s.pool_alloc_fallbacks),
-      static_cast<unsigned long long>(s.tasks_degraded_inline),
-      static_cast<unsigned long long>(s.tasks_discarded),
-      static_cast<unsigned long long>(s.tasks_discarded_inline),
-      static_cast<unsigned long long>(stalls),
-      sched.team_degraded() ? "yes" : "no",
-      rt::to_string(sched.last_region_status()));
+  std::printf("           faults: stalls=%llu team-degraded=%s status=%s\n",
+              static_cast<unsigned long long>(stalls),
+              sched.team_degraded() ? "yes" : "no",
+              rt::to_string(sched.last_region_status()));
 }
 
 // ---------------------------------------------------------------------------
@@ -266,7 +224,8 @@ void print_pathology_finding(const char* name,
 // The pathology guardrail mirroring --tripwire-pool-locality: nonzero exit
 // when any detector fires — and when the check would be vacuous (no trace,
 // no events) because a silently empty trace must trip, not pass.
-int run_pathology_tripwire(rt::Scheduler& sched, bool fail_on_fire) {
+int run_pathology_tripwire(rt::Scheduler& sched,
+                           const rt::StatsSnapshot& window, bool fail_on_fire) {
   rt::TraceCollector* tc = sched.tracer();
   if (tc == nullptr) {
     std::fprintf(stderr,
@@ -276,14 +235,14 @@ int run_pathology_tripwire(rt::Scheduler& sched, bool fail_on_fire) {
     return 1;
   }
   tc->drain_all();
-  if (fail_on_fire && tc->total(rt::TraceEvent::spawn) == 0) {
+  if (fail_on_fire &&
+      window.total.tasks_deferred + window.total.tasks_inlined_fast == 0) {
     std::fprintf(stderr,
-                 "TRIPWIRE: the trace recorded zero spawn events — the "
-                 "pathology check would be vacuous (did the run spawn any "
-                 "tasks?)\n");
+                 "TRIPWIRE: the run counted zero spawns — the pathology "
+                 "check would be vacuous (did the run spawn any tasks?)\n");
     return 1;
   }
-  const rt::PathologyReport rep = rt::analyze_pathologies(*tc);
+  const rt::PathologyReport rep = rt::analyze_pathologies(*tc, window);
   print_pathology_finding("creation-serialization", rep.creation_serialization);
   print_pathology_finding("depth-first-starvation", rep.depth_first_starvation);
   print_pathology_finding("cross-node-ping-pong", rep.cross_node_ping_pong);
@@ -550,16 +509,18 @@ int main(int argc, char** argv) {
   if (!trace_out.empty() || tripwire_pathology) cfg.trace = true;
   rt::Scheduler sched(cfg);
   int exit_code = 0;
-  std::uint64_t remote_frees = 0;  // across every rep, not just the best
+  // Counters across every rep, not just the best: each run resets them, and
+  // the pathology check needs the window the whole trace covers.
+  rt::StatsSnapshot window;
   for (const auto& v : to_run) {
     core::RunReport best;
     for (int r = 0; r < reps; ++r) {
       auto rep = app->run(input, v, sched, verify);
-      remote_frees += rep.runtime_stats.pool_remote_frees;
+      window += sched.stats();
       if (r == 0 || rep.seconds < best.seconds) best = rep;
     }
     print_report(best, stats);
-    if (stats) print_fault_report(sched, best);
+    if (stats) print_fault_report(sched);
     // A deadline-cancelled run produced a truncated (unverifiable) answer;
     // report it as a failure distinct from a verify mismatch.
     if (sched.last_region_status() != rt::RegionStatus::completed) {
@@ -587,6 +548,7 @@ int main(int argc, char** argv) {
                    "and pooling on.\n");
       return 1;
     }
+    const std::uint64_t remote_frees = window.total.pool_remote_frees;
     if (remote_frees > 0) {
       std::fprintf(stderr,
                    "TRIPWIRE: pool-locality regression — %llu descriptor "
@@ -620,7 +582,7 @@ int main(int argc, char** argv) {
                 reps, sched.node_pools_active() ? "yes" : "no");
   }
   if (tripwire_pathology || sched.config().pathology) {
-    const int rc = run_pathology_tripwire(sched, tripwire_pathology);
+    const int rc = run_pathology_tripwire(sched, window, tripwire_pathology);
     if (rc != 0) return rc;
   }
   return exit_code;

@@ -140,7 +140,7 @@ int main(int argc, char** argv) {
 
   rt::TraceCollector* tc = sched.tracer();
   tc->drain_all();
-  const rt::PathologyReport rep = rt::analyze_pathologies(*tc);
+  const rt::PathologyReport rep = rt::analyze_pathologies(*tc, sched.stats());
   print_finding("creation-serialization", rep.creation_serialization);
   print_finding("depth-first-starvation", rep.depth_first_starvation);
   print_finding("cross-node-ping-pong", rep.cross_node_ping_pong);

@@ -169,7 +169,7 @@ inline void warn_malformed_env(const char* name, const char* value) noexcept {
   return v == nullptr ? std::string{} : std::string{v};
 }
 
-/// Cache line size used for padding shared structures (WorkerStats,
+/// Cache line size used for padding shared structures (WorkerCounters,
 /// WorkerLocal slots, deque tops/bottoms, parked-task inboxes).
 inline constexpr std::size_t cache_line_bytes = 64;
 
@@ -421,15 +421,15 @@ struct SchedulerConfig {
   /// Per-worker trace ring capacity in records (rounded up to a power of
   /// two; 24 bytes/record, so the default is ~384 KiB per worker). The ring
   /// overwrites its oldest records between drains; overwritten records are
-  /// counted as dropped, and the per-event counters used by the pathology
-  /// analyzers and conservation tests are wrap-proof regardless. Also
-  /// settable via RT_TRACE_BUF=<records>.
+  /// counted as dropped (event totals come from the worker counters, which
+  /// never wrap). Also settable via RT_TRACE_BUF=<records>.
   std::uint32_t trace_buf = env_u32("RT_TRACE_BUF", 1u << 14);
 
-  /// Run the scheduling-pathology analyzers (pathology.hpp) over the trace
-  /// at teardown and print a report (the driver's --tripwire-pathology flag
-  /// additionally fails the run when a detector fires). Implies nothing on
-  /// its own when tracing is off. Also settable via RT_PATHOLOGY=0/1.
+  /// Have bots_run score its runs with the scheduling-pathology analyzers
+  /// (pathology.hpp) at exit and print a report (its --tripwire-pathology
+  /// flag additionally fails the run when a detector fires). The analyzers
+  /// read the worker counters plus the trace records, so this needs tracing
+  /// on. Also settable via RT_PATHOLOGY=0/1.
   bool pathology = env_flag("RT_PATHOLOGY", false);
 
   /// Resolved cut-off bound (applies the documented defaults).

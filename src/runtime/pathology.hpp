@@ -1,7 +1,8 @@
 // Scheduling-pathology analyzers over the trace layer (arXiv 2406.03077:
 // "Detrimental task execution patterns in mainstream OpenMP runtimes").
 //
-// Three detectors score a drained TraceCollector:
+// Three detectors score a drained TraceCollector together with the worker
+// counters (stats.hpp) of the same window:
 //   - creation-serialization: one worker sources nearly all task descriptors
 //     while the rest of the team runs hungry waiting on the generator.
 //   - depth-first starvation: a cutoff (or tiny grain) inlines nearly every
@@ -17,9 +18,9 @@
 // rare relative to spawns).
 //
 // PhaseDetector (bottom) is the online sibling: the EWMA phase signal the
-// TaskServer monitor feeds each retune window. It keeps PR 9's two rules
-// (remote-steal churn -> hierarchical, settled local phase -> last_victim)
-// and adds the trace-fed spawn-concentration signal when tracing is live.
+// TaskServer monitor feeds each retune window from the live worker counters
+// (remote-steal churn or serialized creation -> hierarchical, settled local
+// phase -> last_victim).
 #pragma once
 
 #include <algorithm>
@@ -30,6 +31,7 @@
 #include <utility>
 
 #include "runtime/config.hpp"
+#include "runtime/stats.hpp"
 #include "runtime/trace.hpp"
 
 namespace bots::rt {
@@ -66,12 +68,17 @@ struct PathologyReport {
   }
 };
 
-// Analyze a (drained) collector. Counter-based signals are wrap-proof; the
-// ping-pong detector additionally walks drained records for node pairs.
+// Analyze a drained collector. `stats` must cover the same window as the
+// drained records (e.g. Scheduler::stats() after the traced regions, with no
+// reset_stats() in between): spawn, hungry and steal-hit totals come from
+// the counters, which are exact even when the ring dropped records; the
+// records supply the deferred share and the node pairs of the ping-pong
+// detector.
 inline PathologyReport analyze_pathologies(const TraceCollector& tc,
+                                           const StatsSnapshot& stats,
                                            const PathologyConfig& cfg = {}) {
   PathologyReport rep;
-  const unsigned n = tc.num_workers();
+  const unsigned n = static_cast<unsigned>(stats.per_worker.size());
   if (n == 0) return rep;
 
   std::uint64_t spawn_total = 0, hungry_total = 0, hits_total = 0;
@@ -79,19 +86,20 @@ inline PathologyReport analyze_pathologies(const TraceCollector& tc,
   unsigned top_worker = 0;
   std::uint64_t deferred_events = 0, inlined_events = 0;
   for (unsigned i = 0; i < n; ++i) {
-    const std::uint64_t s = tc.count(i, TraceEvent::spawn);
+    const WorkerStats& ws = stats.per_worker[i];
+    const std::uint64_t s = ws.tasks_deferred + ws.tasks_inlined_fast;
     spawn_total += s;
     if (s > spawn_top) {
       spawn_top = s;
       top_worker = i;
     }
-    hungry_total += tc.count(i, TraceEvent::hungry);
-    hits_total += tc.count(i, TraceEvent::steal_hit);
+    hungry_total += ws.hungry_rounds;
+    hits_total += ws.tasks_stolen;
   }
   // Deferred-vs-inlined split needs the per-record flag (arg2), so it comes
   // from the drained stream; on very long runs wraparound undercounts both
   // sides equally, which keeps the share estimate usable.
-  for (unsigned i = 0; i < n; ++i)
+  for (unsigned i = 0; i < tc.num_workers(); ++i)
     for (const TraceRecord& r : tc.events(i))
       if (static_cast<TraceEvent>(r.type) == TraceEvent::spawn)
         (r.arg2 != 0 ? deferred_events : inlined_events) += 1;
@@ -101,7 +109,7 @@ inline PathologyReport analyze_pathologies(const TraceCollector& tc,
     const double share =
         static_cast<double>(spawn_top) / static_cast<double>(spawn_total);
     const std::uint64_t hungry_others =
-        hungry_total - tc.count(top_worker, TraceEvent::hungry);
+        hungry_total - stats.per_worker[top_worker].hungry_rounds;
     const double hungry_per_other =
         static_cast<double>(hungry_others) / static_cast<double>(n - 1);
     if (share >= cfg.creation_top_share &&
@@ -150,7 +158,7 @@ inline PathologyReport analyze_pathologies(const TraceCollector& tc,
   {
     std::map<std::pair<unsigned, unsigned>, std::uint64_t> dir;
     std::uint64_t transfers = 0;
-    for (unsigned i = 0; i < n; ++i) {
+    for (unsigned i = 0; i < tc.num_workers(); ++i) {
       for (const TraceRecord& r : tc.events(i)) {
         const auto ev = static_cast<TraceEvent>(r.type);
         unsigned from = 0, to = 0;
@@ -212,16 +220,13 @@ inline PathologyReport analyze_pathologies(const TraceCollector& tc,
 // ---------------------------------------------------------------------------
 // Online phase detection for TaskServer retuning.
 //
-// Fed one PhaseSample per retune window. Signals d_* are per-window deltas
-// of the scheduler's relaxed steal telemetry; spawn_top_share/d_spawn come
-// from live trace counters when tracing is on (0 when off, which simply
-// disables the concentration rule — behavior then matches PR 9's two-signal
-// EWMA exactly).
+// Fed one PhaseSample per retune window: per-window deltas of the live
+// worker counters (stats.hpp), whether tracing is on or off.
 struct PhaseSample {
   double d_remote = 0.0;  // remote steal hits this window
   double d_skip = 0.0;    // hint-gated probes skipped this window
   double d_hungry = 0.0;  // fruitless find_work rounds this window
-  double d_spawn = 0.0;   // spawn events this window (trace-fed)
+  double d_spawn = 0.0;   // deferred + fast-inlined spawns this window
   double spawn_top_share = 0.0;  // top worker's share of this window's spawns
 };
 
@@ -241,7 +246,7 @@ class PhaseDetector {
 
     // Remote churn: cross-node steals dominating -> node-tiered probing.
     const bool remote_churn = ew_remote_ > 4.0 * team_;
-    // Serialized-creation phase (trace-fed): one worker sources nearly all
+    // Serialized-creation phase: one worker sources nearly all
     // spawns while the team runs hungry -> hierarchical keeps the probe
     // storm off the generator's node until its own tier is dry.
     const bool creation_phase = ew_share_ > 0.85 && ew_spawn_ > 4.0 * team_ &&

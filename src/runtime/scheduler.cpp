@@ -467,7 +467,7 @@ void Scheduler::monitor_region(std::stop_token st, Region& r,
     if (has_watchdog) {
       std::uint64_t sum = 0;
       for (const auto& w : workers_) {
-        sum += w->progress.load(std::memory_order_relaxed);
+        sum += w->progress;
       }
       if (sum != last_sum) {
         last_sum = sum;
@@ -508,8 +508,7 @@ void Scheduler::dump_stall_report(Region& r) {
         stderr,
         "rt:   worker %u: node=%u progress=%llu deque=%s parked_inbox=%s\n",
         w->id, w->node,
-        static_cast<unsigned long long>(
-            w->progress.load(std::memory_order_relaxed)),
+        static_cast<unsigned long long>(w->progress),
         w->deque.empty_estimate() ? "empty" : "nonempty",
         w->parked_inbox.load(std::memory_order_relaxed) == nullptr ? "empty"
                                                                    : "nonempty");
@@ -1386,16 +1385,14 @@ Task* Scheduler::steal_work(Worker& w, bool& progress) {
     sp.policy->raided(w, v, got > 0);
     if (got == 0) return 0;
     w.stats.tasks_stolen += got;
-    // Counter weight `got` keeps steal_hit == tasks_stolen exactly; the
-    // record's payload carries the (victim_node, thief_node) pair the
-    // ping-pong analyzer consumes.
+    // The record carries the raid's task count and the (victim_node,
+    // thief_node) pair the ping-pong analyzer consumes.
     trace_record(w.ring, TraceEvent::steal_hit, got,
-                 trace_pack_nodes(workers_[v]->node, w.node), got);
+                 trace_pack_nodes(workers_[v]->node, w.node));
     if (workers_[v]->node == w.node) {
       ++w.stats.steals_local_node;
     } else {
       ++w.stats.steals_remote_node;
-      w.tele_remote_steals.fetch_add(1, std::memory_order_relaxed);
     }
     for (std::size_t i = 1; i < got; ++i) w.stash[w.stash_count++] = batch[i];
     // Surplus transition: this node now holds stealable-soon work (the
@@ -1501,7 +1498,7 @@ Task* Scheduler::find_work(Worker& w) {
       // controller's live-range gate scopes the note to the sites it
       // concerns.
       if (cfg_.use_adaptive_grain) grain_table_.note_hungry();
-      w.tele_hungry.fetch_add(1, std::memory_order_relaxed);
+      ++w.stats.hungry_rounds;
       trace_record(w.ring, TraceEvent::hungry);
       return nullptr;
     }
@@ -1641,18 +1638,6 @@ void Scheduler::reconfigure_live(StealPolicyKind kind,
   if (tune.watchdog_ms != ~0u) cfg_.watchdog_ms = tune.watchdog_ms;
   if (tune.watchdog_cancel != 0) cfg_.watchdog_cancel = tune.watchdog_cancel == 2;
   install_snapshot_locked(/*live=*/true);
-}
-
-Scheduler::Telemetry Scheduler::telemetry() const noexcept {
-  Telemetry t;
-  for (const auto& w : workers_) {
-    t.steals_remote_node +=
-        w->tele_remote_steals.load(std::memory_order_relaxed);
-    t.remote_probes_skipped +=
-        w->tele_probes_skipped.load(std::memory_order_relaxed);
-    t.hungry_rounds += w->tele_hungry.load(std::memory_order_relaxed);
-  }
-  return t;
 }
 
 void Scheduler::rebuild_mailboxes() {
@@ -1848,14 +1833,14 @@ StatsSnapshot Scheduler::stats() const {
   StatsSnapshot snap;
   snap.per_worker.reserve(workers_.size());
   for (const auto& w : workers_) {
-    snap.per_worker.push_back(w->stats);
-    snap.total += w->stats;
+    snap.per_worker.push_back(w->stats.snapshot());
+    snap.total += snap.per_worker.back();
   }
   return snap;
 }
 
 void Scheduler::reset_stats() noexcept {
-  for (auto& w : workers_) w->stats = WorkerStats{};
+  for (auto& w : workers_) w->stats.reset();
 }
 
 }  // namespace bots::rt

@@ -156,7 +156,7 @@
 // std::chrono::milliseconds budget report RegionStatus::deadline_exceeded),
 // the stall watchdog with cfg.watchdog_cancel, or the first captured task
 // exception with cfg.cancel_on_exception. The monitor thread (deadline +
-// watchdog) samples per-worker progress atomics and live_tasks only.
+// watchdog) samples per-worker progress counters and live_tasks only.
 //
 // Degradation ladder: descriptor allocation falls from the pool
 // rung to a plain per-descriptor heap rung
@@ -361,7 +361,8 @@ class Worker {
   Task* current = nullptr;
   WorkStealingDeque deque;
   TaskPool pool;
-  WorkerStats stats;
+  /// This worker's counters: written only here, readable from any thread.
+  WorkerCounters stats;
   /// Event-trace ring for this worker (trace.hpp), or nullptr when tracing
   /// is knob-off — every event site checks this one pointer, so the off
   /// cost is a single predictable branch. Owned by the Scheduler's
@@ -480,26 +481,12 @@ class Worker {
   /// the worker's hot state, exactly like the watchdog's progress polling.
   alignas(cache_line_bytes) std::atomic<std::uint64_t> snap_epoch{0};
 
-  /// Relaxed-atomic mirrors of the WorkerStats counters the server's phase
-  /// detector samples WHILE the region runs (per-worker stats are plain
-  /// single-writer fields — legal only between regions). Bumped on cold
-  /// paths only (a remote steal, a gated probe round, a fruitless
-  /// find_work round), summed by Scheduler::telemetry().
-  std::atomic<std::uint64_t> tele_remote_steals{0};
-  std::atomic<std::uint64_t> tele_probes_skipped{0};
-  std::atomic<std::uint64_t> tele_hungry{0};
-
   /// Monotone progress counter sampled by the stall watchdog: bumped on
   /// every deferred-task dispatch (execute or discard) and every range
-  /// chunk peeled. Single-writer (this worker); relaxed load+store keeps
-  /// the hot-path cost at one unfenced increment while staying a legal
-  /// cross-thread read for the monitor (TSAN-clean). Own cache line so the
-  /// monitor's polling never bounces the worker's hot state.
-  alignas(cache_line_bytes) std::atomic<std::uint64_t> progress{0};
-  void note_progress() noexcept {
-    progress.store(progress.load(std::memory_order_relaxed) + 1,
-                   std::memory_order_relaxed);
-  }
+  /// chunk peeled. Single-writer, like the counter block. Own cache line
+  /// so the monitor's polling never bounces the worker's hot state.
+  alignas(cache_line_bytes) WorkerCounter progress;
+  void note_progress() noexcept { ++progress; }
 };
 
 namespace detail {
@@ -755,21 +742,12 @@ class Scheduler {
   /// worker's own thread.
   PolicySnapshot* pin_snapshot(Worker& w) noexcept;
 
-  /// Live telemetry for phase detection: sums of the per-worker relaxed
-  /// mirrors (Worker::tele_*). Safe from any thread at any time, including
-  /// under a running region — the per-worker WorkerStats (stats()) are
-  /// plain fields and remain between-regions only.
-  struct Telemetry {
-    std::uint64_t steals_remote_node = 0;
-    std::uint64_t remote_probes_skipped = 0;
-    std::uint64_t hungry_rounds = 0;
-  };
-  [[nodiscard]] Telemetry telemetry() const noexcept;
+  /// Live team-wide counter totals (stats().total); safe from any thread
+  /// at any time.
+  [[nodiscard]] WorkerStats telemetry() const { return stats().total; }
 
   /// The event-trace collector (trace.hpp), or nullptr when cfg.trace is
-  /// off. Rings are drained into it by each worker at region exit; the
-  /// per-event counters are live-sampleable from any thread (the server
-  /// phase detector reads them under a running region).
+  /// off. Rings are drained into it by each worker at region exit.
   [[nodiscard]] TraceCollector* tracer() noexcept { return tracer_.get(); }
   [[nodiscard]] const TraceCollector* tracer() const noexcept {
     return tracer_.get();
@@ -789,8 +767,12 @@ class Scheduler {
   /// of the idle drain clear it). Between regions only.
   void set_victim_hint(unsigned worker, unsigned victim) noexcept;
 
-  /// Aggregate per-worker statistics. Call between regions.
+  /// Per-worker counters and their aggregate. Safe from any thread at any
+  /// time; the laws between counters hold only after quiescence (between
+  /// regions), since a live read sees each counter at a slightly different
+  /// instant.
   [[nodiscard]] StatsSnapshot stats() const;
+  /// Zero every worker's counters. Between regions only.
   void reset_stats() noexcept;
 
   // ---- internal API used by the spawn fast path (do not call directly) ----

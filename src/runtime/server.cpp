@@ -337,11 +337,10 @@ void TaskServer::monitor_main(const std::stop_token& st) {
   const bool watchdog = cfg_.watchdog_ms > 0;
   const auto stall_after = std::chrono::milliseconds(cfg_.watchdog_ms);
   const auto poll = std::chrono::milliseconds(2);
-  // Phase detection (PR 9, richer signal PR 10): on the RT_SERVER_RETUNE_MS
-  // cadence, feed the per-window deltas of the scheduler's steal telemetry —
-  // plus, when tracing is live, the trace layer's spawn-concentration signal
-  // — into a PhaseDetector (pathology.hpp) and hot-swap the steal policy
-  // when the workload phase changed:
+  // Phase detection: on the RT_SERVER_RETUNE_MS cadence, feed the
+  // per-window deltas of the live worker counters into a PhaseDetector
+  // (pathology.hpp) and hot-swap the steal policy when the workload phase
+  // changed:
   //
   //   * sustained cross-node steal churn, OR a serialized-creation phase
   //     (one worker sourcing nearly every spawn while the team runs hungry),
@@ -350,55 +349,46 @@ void TaskServer::monitor_main(const std::stop_token& st) {
   //   * a settled phase (remote churn AND hint-skip activity near zero,
   //     workers not hungry) switches back to last_victim.
   //
-  // With tracing off the concentration signal is identically zero and the
-  // detector degrades to exactly PR 9's two-signal EWMA. Detection and the
+  // The counters are the same with tracing on or off. Detection and the
   // swap run OUTSIDE mu_ (see retune()); thresholds scale with team size.
   const bool detect = cfg_.retune_ms > 0 && sched_.config().live_reconfigure;
   const auto retune_window = std::chrono::milliseconds(
       cfg_.retune_ms == 0 ? 1 : cfg_.retune_ms);
   auto last_sample = std::chrono::steady_clock::now();
-  Scheduler::Telemetry prev_tele = detect ? sched_.telemetry()
-                                          : Scheduler::Telemetry{};
+  StatsSnapshot prev = detect ? sched_.stats() : StatsSnapshot{};
   PhaseDetector phase(static_cast<double>(sched_.num_workers()));
-  std::vector<std::uint64_t> prev_spawn;
-  if (const TraceCollector* tc = sched_.tracer(); detect && tc != nullptr) {
-    prev_spawn.resize(tc->num_workers());
-    for (unsigned i = 0; i < tc->num_workers(); ++i)
-      prev_spawn[i] = tc->count(i, TraceEvent::spawn);
-  }
   while (!st.stop_requested()) {
     if (detect) {
       const auto now = std::chrono::steady_clock::now();
       if (now - last_sample >= retune_window) {
         last_sample = now;
-        const Scheduler::Telemetry t = sched_.telemetry();
+        StatsSnapshot cur = sched_.stats();
+        const WorkerStats& t = cur.total;
         PhaseSample smp;
-        smp.d_remote =
-            static_cast<double>(t.steals_remote_node - prev_tele.steals_remote_node);
+        smp.d_remote = static_cast<double>(t.steals_remote_node -
+                                           prev.total.steals_remote_node);
         smp.d_skip = static_cast<double>(t.remote_probes_skipped -
-                                         prev_tele.remote_probes_skipped);
+                                         prev.total.remote_probes_skipped);
         smp.d_hungry =
-            static_cast<double>(t.hungry_rounds - prev_tele.hungry_rounds);
-        prev_tele = t;
-        // Trace-fed enrichment: this window's spawn volume and how
-        // concentrated it was on one worker (live ring counters, relaxed
-        // single-writer — legal to sample under the running region).
-        if (const TraceCollector* tc = sched_.tracer();
-            tc != nullptr && prev_spawn.size() == tc->num_workers()) {
-          std::uint64_t window_total = 0, window_top = 0;
-          for (unsigned i = 0; i < tc->num_workers(); ++i) {
-            const std::uint64_t cur = tc->count(i, TraceEvent::spawn);
-            const std::uint64_t d = cur - prev_spawn[i];
-            prev_spawn[i] = cur;
-            window_total += d;
-            window_top = std::max(window_top, d);
-          }
-          smp.d_spawn = static_cast<double>(window_total);
-          smp.spawn_top_share =
-              window_total == 0 ? 0.0
-                                : static_cast<double>(window_top) /
-                                      static_cast<double>(window_total);
+            static_cast<double>(t.hungry_rounds - prev.total.hungry_rounds);
+        // This window's spawn volume and how concentrated it was on one
+        // worker.
+        const auto spawns = [](const WorkerStats& w) {
+          return w.tasks_deferred + w.tasks_inlined_fast;
+        };
+        std::uint64_t window_total = 0, window_top = 0;
+        for (std::size_t i = 0; i < cur.per_worker.size(); ++i) {
+          const std::uint64_t d =
+              spawns(cur.per_worker[i]) - spawns(prev.per_worker[i]);
+          window_total += d;
+          window_top = std::max(window_top, d);
         }
+        smp.d_spawn = static_cast<double>(window_total);
+        smp.spawn_top_share =
+            window_total == 0 ? 0.0
+                              : static_cast<double>(window_top) /
+                                    static_cast<double>(window_total);
+        prev = std::move(cur);
         if (auto want = phase.update(smp, sched_.active_steal_policy())) {
           (void)retune(*want);
         }

@@ -115,10 +115,10 @@ struct ServerConfig {
   /// Reporting only — cancel policy stays with deadlines and clients.
   std::uint32_t watchdog_ms = 0;
   /// Phase-detector cadence (RT_SERVER_RETUNE_MS); 0 = off. Every window
-  /// the monitor samples the scheduler's steal telemetry and hot-swaps the
-  /// steal policy (Scheduler::reconfigure_live) when the workload phase
-  /// changed: sustained cross-node steal churn flips to hierarchical,
-  /// a settled local phase flips back to last_victim. Requires
+  /// the monitor samples the live worker counters and hot-swaps the steal
+  /// policy (Scheduler::reconfigure_live) when the workload phase changed:
+  /// sustained cross-node steal churn or serialized creation flips to
+  /// hierarchical, a settled local phase flips back to last_victim. Requires
   /// RT_LIVE_RECONF=1 (the default) to have any effect.
   std::uint32_t retune_ms = 0;
 

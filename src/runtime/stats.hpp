@@ -1,10 +1,18 @@
-// Per-worker scheduler statistics.
+// Per-worker scheduler counters, declared once.
 //
-// Counters are single-writer (only the owning worker increments them), so
-// they are plain integers padded to a cache line to avoid false sharing.
-// Snapshots should be taken between parallel regions.
+// BOTS_RT_WORKER_COUNTERS lists every counter a worker keeps, with how it
+// aggregates across workers (sum, or max for a high-water mark). Two types
+// are generated from it:
+//   - WorkerCounters, the live block inside each Worker. Only the owning
+//     worker writes it, with a relaxed load then store (no lock-prefixed
+//     RMW), and any thread may read it at any time, while a region runs too.
+//   - WorkerStats, a plain snapshot of one block or an aggregate of several
+//     (Scheduler::stats()).
+// A snapshot taken while a region runs reads every counter whole but not the
+// set at one instant: laws between counters hold only after quiescence.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -12,149 +20,156 @@
 
 namespace bots::rt {
 
-struct alignas(cache_line_bytes) WorkerStats {
-  std::uint64_t tasks_created = 0;        ///< spawn / spawn_if calls seen
-  std::uint64_t tasks_deferred = 0;       ///< enqueued onto a deque
-  std::uint64_t tasks_if_inlined = 0;     ///< spawn_if with a false condition
-  std::uint64_t tasks_cutoff_inlined = 0; ///< inlined by the runtime cut-off
-  std::uint64_t tasks_inlined_fast = 0;   ///< undeferred on the zero-alloc path (no descriptor)
-  std::uint64_t range_tasks = 0;          ///< spawn_range calls (one descriptor per range)
-  std::uint64_t range_splits = 0;         ///< range halves split off for hungry thieves
-  std::uint64_t range_halves_redirected = 0; ///< split halves mailed to an idle remote node (use_hint_placement)
-  std::uint64_t tasks_executed = 0;       ///< deferred tasks run by this worker
-  std::uint64_t tasks_stolen = 0;         ///< deferred tasks taken from another worker
-  std::uint64_t steal_attempts = 0;       ///< deque.steal()/steal_batch() calls on victims
-  std::uint64_t steal_batches = 0;        ///< successful steal_batch() raids
-  std::uint64_t steals_local_node = 0;    ///< successful raids on a same-node victim
-  std::uint64_t steals_remote_node = 0;   ///< successful raids across the interconnect
-  std::uint64_t remote_probes_skipped = 0; ///< remote victims not probed: node's has-work hint was clear
-  std::uint64_t pinned = 0;               ///< 1 when this worker is pinned to its node's cpuset (verified placement)
-  std::uint64_t taskwaits = 0;
-  std::uint64_t tsc_parked = 0;           ///< claims parked by the Task Scheduling Constraint
-  std::uint64_t parked_claimed = 0;       ///< parked tasks this worker claimed back
-  std::uint64_t acct_flushes = 0;         ///< batched live-task delta flushes
-  std::uint64_t env_bytes = 0;            ///< captured-environment bytes (Table II)
-  std::uint64_t pool_reuse = 0;           ///< descriptor allocations served by the freelist
-  std::uint64_t pool_fresh = 0;           ///< descriptor allocations that hit the chunk allocator
-  /// Descriptor frees that retired to a pool on the descriptor's BIRTH node
-  /// (the node of the worker that carved it): straight onto the owner's
-  /// freelist when the owner frees it, else stashed in transit to the owner
-  /// (use_node_pools), or — knob off — into a same-node freer's pool.
-  std::uint64_t pool_home_frees = 0;
-  /// Descriptor frees that landed in a pool on a node OTHER than the birth
-  /// node — the cross-socket memory drift owner-return exists to remove.
-  /// With use_node_pools on this is zero by construction (the CI locality
-  /// tripwire enforces it); with the knob off it counts every descriptor a
-  /// cross-node thief recycled into its own freelist.
-  std::uint64_t pool_remote_frees = 0;
-  /// High-water mark of descriptors simultaneously parked in this worker's
-  /// stashes, in transit to the owner (freed here, awaiting the batched
-  /// splice onto the owner's return list). Aggregated by MAX, not sum: the
-  /// snapshot total reports the worst single-worker in-transit backlog.
-  std::uint64_t pool_migrations = 0;
+// Notes on the less obvious counters:
+//   - tasks_degraded_inline: spawns run inline because no descriptor could
+//     be obtained at all (pool and heap rungs failed); also counted in
+//     tasks_cutoff_inlined so `created + range_splits == deferred +
+//     if_inlined + cutoff_inlined` holds.
+//   - tasks_discarded: deferred tasks retired without running their body
+//     because the region was cancelled; under cancellation
+//     `tasks_executed + tasks_discarded == tasks_deferred`.
+//   - pool_home_frees / pool_remote_frees: descriptor frees that retired to
+//     a pool on / off the descriptor's birth node (the node of the worker
+//     that carved it). With use_node_pools on, remote frees are zero by
+//     construction (the CI locality tripwire enforces it).
+//   - pool_migrations: high-water mark of descriptors freed here and waiting
+//     in a stash for the batched trip back to their owner. Aggregated by
+//     max: the total is the worst single-worker backlog.
+//   - deps_edges / edges_resolved: every created edge is resolved exactly
+//     once, so after quiescence
+//     `edges_resolved == deps_edges + sum(replays x graph edge count)`.
+#define BOTS_RT_WORKER_COUNTERS(X)                                           \
+  X(tasks_created, sum)           /* spawn / spawn_if calls seen */          \
+  X(tasks_deferred, sum)          /* enqueued onto a deque */                \
+  X(tasks_if_inlined, sum)        /* spawn_if with a false condition */      \
+  X(tasks_cutoff_inlined, sum)    /* inlined by the runtime cut-off */       \
+  X(tasks_inlined_fast, sum)      /* undeferred, no descriptor */            \
+  X(range_tasks, sum)             /* spawn_range calls */                    \
+  X(range_splits, sum)            /* range halves split off for thieves */   \
+  X(range_halves_redirected, sum) /* halves mailed to an idle remote node */ \
+  X(tasks_executed, sum)          /* deferred tasks run here */              \
+  X(tasks_stolen, sum)            /* deferred tasks taken from others */     \
+  X(steal_attempts, sum)          /* steal()/steal_batch() calls */          \
+  X(steal_batches, sum)           /* successful steal_batch() raids */       \
+  X(steals_local_node, sum)       /* successful raids on a same-node victim */ \
+  X(steals_remote_node, sum)      /* successful raids across nodes */        \
+  X(remote_probes_skipped, sum)   /* remote victims skipped: hint clear */   \
+  X(hungry_rounds, sum)           /* fruitless full find_work rounds */      \
+  X(pinned, sum)                  /* 1 when pinned to its node's cpuset */   \
+  X(taskwaits, sum)                                                          \
+  X(tsc_parked, sum)              /* claims parked by the TSC */             \
+  X(parked_claimed, sum)          /* parked tasks claimed back */            \
+  X(acct_flushes, sum)            /* batched live-task delta flushes */      \
+  X(env_bytes, sum)               /* captured-environment bytes (Table II) */ \
+  X(pool_reuse, sum)              /* allocations served by the freelist */   \
+  X(pool_fresh, sum)              /* allocations carved from a chunk */      \
+  X(pool_home_frees, sum)                                                    \
+  X(pool_remote_frees, sum)                                                  \
+  X(pool_migrations, max)                                                    \
+  X(tasks_discarded, sum)                                                    \
+  X(tasks_discarded_inline, sum)  /* inline bodies skipped: cancelled */     \
+  X(pool_alloc_fallbacks, sum)    /* pool rung failed, heap rung used */     \
+  X(tasks_degraded_inline, sum)                                              \
+  X(faults_injected, sum)         /* FaultPlan faults observed here */       \
+  X(tasks_retried, sum)           /* bodies re-run after a transient fault */ \
+  X(server_requests, sum)         /* request root frames run here */         \
+  X(deps_declared, sum)           /* depend() clause entries */              \
+  X(deps_edges, sum)              /* edges created by the dynamic tracker */ \
+  X(edges_resolved, sum)          /* edges resolved at predecessor finish */ \
+  X(graphs_recorded, sum)         /* graph regions recorded and frozen */    \
+  X(graphs_replayed, sum)         /* frozen graphs replayed */
 
-  // -- fault-tolerance counters (PR 6) --------------------------------------
+namespace detail {
+constexpr std::uint64_t aggregate_sum(std::uint64_t a,
+                                      std::uint64_t b) noexcept {
+  return a + b;
+}
+constexpr std::uint64_t aggregate_max(std::uint64_t a,
+                                      std::uint64_t b) noexcept {
+  return a > b ? a : b;
+}
+}  // namespace detail
 
-  /// Deferred tasks retired WITHOUT executing their body because the region
-  /// was cancelled before they were dispatched. Under cancellation the
-  /// executed-side invariant becomes
-  /// `tasks_executed + tasks_discarded == tasks_deferred`.
-  std::uint64_t tasks_discarded = 0;
-  /// Undeferred/inline dispatches skipped because the region was already
-  /// cancelled (no descriptor was retired; the closure simply never ran).
-  std::uint64_t tasks_discarded_inline = 0;
-  /// Descriptor allocations that fell back to a plain per-descriptor heap
-  /// allocation because the pool rung failed (real or injected
-  /// bad_alloc).
-  std::uint64_t pool_alloc_fallbacks = 0;
-  /// Spawns degraded to serial inline execution because no descriptor could
-  /// be obtained at all (both pool and heap rungs failed). Also counted in
-  /// tasks_cutoff_inlined so the creation-side invariant
-  /// `created + range_splits == deferred + if_inlined + cutoff_inlined`
-  /// is undisturbed.
-  std::uint64_t tasks_degraded_inline = 0;
-  /// Faults this worker observed from the active FaultPlan (all sites).
-  std::uint64_t faults_injected = 0;
-  /// Deferred bodies re-executed after an injected transient task_body
-  /// fault (OMPC-style task re-execution: the body still runs exactly once).
-  std::uint64_t tasks_retried = 0;
-
-  // -- server-mode counters (PR 7) ------------------------------------------
-
-  /// Request root frames this worker ran (Scheduler::run_ctx_root calls by
-  /// the TaskServer worker loop) — includes requests whose body was skipped
-  /// because their context was already cancelled at pickup.
-  std::uint64_t server_requests = 0;
-
-  // -- dependency/taskgraph counters (PR 8) ---------------------------------
-
-  /// depend() clauses declared at spawn_dep sites (one per in/out/inout
-  /// entry, whether or not it produced an edge).
-  std::uint64_t deps_declared = 0;
-  /// Dependence edges created by the dynamic tracker at spawn (one pending
-  /// increment each). Conservation: every created edge is resolved exactly
-  /// once, so after quiescence
-  /// `edges_resolved == deps_edges + Σ(replays × graph edge count)`.
-  std::uint64_t deps_edges = 0;
-  /// Dependence edges resolved at predecessor finish (counted by the worker
-  /// that retired the predecessor — dynamic and replayed edges both).
-  std::uint64_t edges_resolved = 0;
-  /// Graph regions recorded + frozen by this worker (first invocation, or a
-  /// re-record after invalidation by reconfigure()/team shrink).
-  std::uint64_t graphs_recorded = 0;
-  /// Frozen graphs replayed by this worker (each replay dispatches every
-  /// node of the graph exactly once).
-  std::uint64_t graphs_replayed = 0;
+/// Plain snapshot of the counters.
+struct WorkerStats {
+#define BOTS_RT_STATS_FIELD(name, agg) std::uint64_t name = 0;
+  BOTS_RT_WORKER_COUNTERS(BOTS_RT_STATS_FIELD)
+#undef BOTS_RT_STATS_FIELD
 
   WorkerStats& operator+=(const WorkerStats& o) noexcept {
-    tasks_created += o.tasks_created;
-    tasks_deferred += o.tasks_deferred;
-    tasks_if_inlined += o.tasks_if_inlined;
-    tasks_cutoff_inlined += o.tasks_cutoff_inlined;
-    tasks_inlined_fast += o.tasks_inlined_fast;
-    range_tasks += o.range_tasks;
-    range_splits += o.range_splits;
-    range_halves_redirected += o.range_halves_redirected;
-    tasks_executed += o.tasks_executed;
-    tasks_stolen += o.tasks_stolen;
-    steal_attempts += o.steal_attempts;
-    steal_batches += o.steal_batches;
-    steals_local_node += o.steals_local_node;
-    steals_remote_node += o.steals_remote_node;
-    remote_probes_skipped += o.remote_probes_skipped;
-    pinned += o.pinned;
-    taskwaits += o.taskwaits;
-    tsc_parked += o.tsc_parked;
-    parked_claimed += o.parked_claimed;
-    acct_flushes += o.acct_flushes;
-    env_bytes += o.env_bytes;
-    pool_reuse += o.pool_reuse;
-    pool_fresh += o.pool_fresh;
-    pool_home_frees += o.pool_home_frees;
-    pool_remote_frees += o.pool_remote_frees;
-    tasks_discarded += o.tasks_discarded;
-    tasks_discarded_inline += o.tasks_discarded_inline;
-    pool_alloc_fallbacks += o.pool_alloc_fallbacks;
-    tasks_degraded_inline += o.tasks_degraded_inline;
-    faults_injected += o.faults_injected;
-    tasks_retried += o.tasks_retried;
-    server_requests += o.server_requests;
-    deps_declared += o.deps_declared;
-    deps_edges += o.deps_edges;
-    edges_resolved += o.edges_resolved;
-    graphs_recorded += o.graphs_recorded;
-    graphs_replayed += o.graphs_replayed;
-    // High-water mark, not a flow: the aggregate is the worst per-worker
-    // in-transit backlog, which is what bounds stash memory.
-    pool_migrations = pool_migrations > o.pool_migrations ? pool_migrations
-                                                          : o.pool_migrations;
+#define BOTS_RT_STATS_AGGREGATE(name, agg) \
+  name = detail::aggregate_##agg(name, o.name);
+    BOTS_RT_WORKER_COUNTERS(BOTS_RT_STATS_AGGREGATE)
+#undef BOTS_RT_STATS_AGGREGATE
     return *this;
+  }
+  bool operator==(const WorkerStats&) const = default;
+
+  /// Calls f(name, value) for every counter, in list order.
+  template <class F>
+  void for_each(F&& f) const {
+#define BOTS_RT_STATS_VISIT(name, agg) f(#name, name);
+    BOTS_RT_WORKER_COUNTERS(BOTS_RT_STATS_VISIT)
+#undef BOTS_RT_STATS_VISIT
+  }
+};
+
+/// A counter with one writer and any number of readers. The writer bumps it
+/// with a relaxed load then store, which costs what a plain increment does.
+class WorkerCounter {
+ public:
+  WorkerCounter& operator+=(std::uint64_t d) noexcept {
+    v_.store(v_.load(std::memory_order_relaxed) + d, std::memory_order_relaxed);
+    return *this;
+  }
+  WorkerCounter& operator++() noexcept { return *this += 1; }
+  WorkerCounter& operator=(std::uint64_t x) noexcept {
+    v_.store(x, std::memory_order_relaxed);
+    return *this;
+  }
+  operator std::uint64_t() const noexcept {
+    return v_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  std::atomic<std::uint64_t> v_{0};
+};
+
+/// The live counter block of one worker, on its own cache lines.
+struct alignas(cache_line_bytes) WorkerCounters {
+#define BOTS_RT_COUNTERS_FIELD(name, agg) WorkerCounter name;
+  BOTS_RT_WORKER_COUNTERS(BOTS_RT_COUNTERS_FIELD)
+#undef BOTS_RT_COUNTERS_FIELD
+
+  [[nodiscard]] WorkerStats snapshot() const noexcept {
+    WorkerStats s;
+#define BOTS_RT_COUNTERS_READ(name, agg) s.name = name;
+    BOTS_RT_WORKER_COUNTERS(BOTS_RT_COUNTERS_READ)
+#undef BOTS_RT_COUNTERS_READ
+    return s;
+  }
+  void reset() noexcept {
+#define BOTS_RT_COUNTERS_ZERO(name, agg) name = 0;
+    BOTS_RT_WORKER_COUNTERS(BOTS_RT_COUNTERS_ZERO)
+#undef BOTS_RT_COUNTERS_ZERO
   }
 };
 
 struct StatsSnapshot {
   WorkerStats total;
   std::vector<WorkerStats> per_worker;
+
+  /// Extends this window by a later one, worker by worker.
+  StatsSnapshot& operator+=(const StatsSnapshot& o) {
+    if (per_worker.size() < o.per_worker.size()) {
+      per_worker.resize(o.per_worker.size());
+    }
+    for (std::size_t i = 0; i < o.per_worker.size(); ++i) {
+      per_worker[i] += o.per_worker[i];
+    }
+    total += o.total;
+    return *this;
+  }
 };
 
 }  // namespace bots::rt

@@ -133,9 +133,7 @@ class HierarchicalPolicy final : public LastVictimPolicy {
     for (unsigned dn = 1; dn < nodes; ++dn) {
       const unsigned node = (home + dn) % nodes;
       if (gate && !hints_->has_work(node)) {
-        const std::uint64_t saved = topo_.workers_on(node).size();
-        w.stats.remote_probes_skipped += saved;
-        w.tele_probes_skipped.fetch_add(saved, std::memory_order_relaxed);
+        w.stats.remote_probes_skipped += topo_.workers_on(node).size();
         skipped = true;
         continue;
       }

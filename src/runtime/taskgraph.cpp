@@ -124,9 +124,8 @@ void TaskGraph::replay(Worker& w) {
   w.stats.tasks_created += n;
   w.stats.tasks_deferred += n;
   w.stats.env_bytes += env_bytes_;
-  // One weighted record for the whole replayed graph (payload = node count)
-  // keeps the spawn counter in lockstep with the bulk deferred accounting.
-  trace_record(w.ring, TraceEvent::spawn, n, 1, n);
+  // One record for the whole replayed graph (payload = node count).
+  trace_record(w.ring, TraceEvent::spawn, n, 1);
   w.region->live_tasks.fetch_add(static_cast<std::int64_t>(n),
                                  std::memory_order_release);
   if (replay_ctx_ != nullptr) replay_ctx_->note_deferred_bulk(n);

@@ -2,20 +2,19 @@
 // TSC-stamped 24-byte records, drained at region/drain boundaries into a
 // Chrome-trace/perfetto JSON exporter.
 //
-// Design constraints (mirrors the WorkerStats / tele_* split):
+// Design constraints:
 //   - record() is owner-only: plain stores into the ring, so the hot path is
 //     one predictable null check + a handful of stores. No RMW, no fence.
-//   - Per-event running counters are relaxed atomics (single writer, many
-//     readers) so the server phase detector and conservation tests can sample
-//     them live; they are wrap-proof even when the ring overwrites records.
-//     The owner bumps them with a relaxed load plus store, not a fetch_add.
+//   - The ring holds records, not counts. Event totals live in the worker's
+//     counter block (stats.hpp), which is exact and readable live whether
+//     tracing is on or off; records overwritten before a drain are only
+//     counted as dropped.
 //   - Rings are drained by their OWNING worker at region exit (participate),
 //     never concurrently with writes — TSAN-clean by construction.
 //   - Compile-out: -DBOTS_RT_NO_TRACE turns trace_record() into a no-op so
 //     the branch itself can be removed for minimal builds.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstddef>
@@ -36,8 +35,6 @@ enum class TraceEvent : std::uint8_t {
   request_end,     // arg = region ctx id
   hungry,          // fruitless full find_work round
 };
-
-inline constexpr std::size_t trace_event_count = 10;
 
 inline const char* trace_event_name(TraceEvent ev) noexcept {
   switch (ev) {
@@ -80,8 +77,7 @@ inline std::uint64_t trace_now() noexcept {
 #endif
 }
 
-// One ring per worker. All record-array and cursor accesses are owner-only;
-// only the counts_ mirrors cross threads (relaxed, single writer).
+// One ring per worker. All record-array and cursor accesses are owner-only.
 class TraceRing {
  public:
   explicit TraceRing(std::uint32_t capacity) {
@@ -93,13 +89,8 @@ class TraceRing {
   TraceRing(const TraceRing&) = delete;
   TraceRing& operator=(const TraceRing&) = delete;
 
-  void record(TraceEvent ev, std::uint64_t arg = 0, std::uint32_t arg2 = 0,
-              std::uint64_t weight = 1) noexcept {
-    // Single writer: a plain load + store keeps the counter exact without
-    // the lock-prefixed RMW, and readers still see whole values.
-    std::atomic<std::uint64_t>& c = counts_[static_cast<std::size_t>(ev)];
-    c.store(c.load(std::memory_order_relaxed) + weight,
-            std::memory_order_relaxed);
+  void record(TraceEvent ev, std::uint64_t arg = 0,
+              std::uint32_t arg2 = 0) noexcept {
     TraceRecord& r = buf_[head_ & mask_];
     r.tsc = trace_now();
     r.arg = arg;
@@ -122,9 +113,6 @@ class TraceRing {
     tail_ = h;
   }
 
-  std::uint64_t count(TraceEvent ev) const noexcept {
-    return counts_[static_cast<std::size_t>(ev)].load(std::memory_order_relaxed);
-  }
   std::uint64_t dropped() const noexcept { return dropped_; }
   std::uint32_t capacity() const noexcept { return mask_ + 1; }
 
@@ -134,19 +122,17 @@ class TraceRing {
   std::uint64_t head_ = 0;    // owner-only
   std::uint64_t tail_ = 0;    // owner-only (drain cursor)
   std::uint64_t dropped_ = 0;
-  alignas(64) std::atomic<std::uint64_t> counts_[trace_event_count] = {};
 };
 
 // trace_record(): the per-site helper. When tracing is knob-off the worker's
 // ring pointer is nullptr, so the entire cost is one predictable branch.
 #if defined(BOTS_RT_NO_TRACE)
 inline void trace_record(TraceRing*, TraceEvent, std::uint64_t = 0,
-                         std::uint32_t = 0, std::uint64_t = 1) noexcept {}
+                         std::uint32_t = 0) noexcept {}
 #else
 inline void trace_record(TraceRing* ring, TraceEvent ev, std::uint64_t arg = 0,
-                         std::uint32_t arg2 = 0,
-                         std::uint64_t weight = 1) noexcept {
-  if (ring != nullptr) ring->record(ev, arg, arg2, weight);
+                         std::uint32_t arg2 = 0) noexcept {
+  if (ring != nullptr) ring->record(ev, arg, arg2);
 }
 #endif
 
@@ -171,14 +157,6 @@ class TraceCollector {
 
   const std::vector<TraceRecord>& events(unsigned i) const {
     return drained_[i];
-  }
-  std::uint64_t count(unsigned i, TraceEvent ev) const noexcept {
-    return rings_[i]->count(ev);
-  }
-  std::uint64_t total(TraceEvent ev) const noexcept {
-    std::uint64_t sum = 0;
-    for (const auto& r : rings_) sum += r->count(ev);
-    return sum;
   }
   std::uint64_t total_events_drained() const noexcept {
     std::uint64_t sum = 0;

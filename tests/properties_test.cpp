@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -394,6 +395,117 @@ TEST(Properties, PrechargedSpawnSlotsSettleOnEveryExitPath) {
       server.drain();
     }
     check(sched, std::string(topo) + " server");
+  }
+}
+
+TEST(Properties, CountersAreReadableWhileARegionRuns) {
+  // Any thread may read the counter block at any time. A reader thread
+  // samples stats() and telemetry() throughout a fib, a single-generator
+  // flood and a spawn_range region: no counter may ever go backwards
+  // between two reads, and the read after the last region must match the
+  // between-regions snapshot.
+  const auto values = [](const rt::WorkerStats& s) {
+    std::vector<std::uint64_t> v;
+    s.for_each([&v](const char*, std::uint64_t x) { v.push_back(x); });
+    return v;
+  };
+  const auto no_decrease = [&values](const rt::WorkerStats& before,
+                                     const rt::WorkerStats& after) {
+    const auto a = values(before), b = values(after);
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      if (b[i] < a[i]) return false;
+    }
+    return true;
+  };
+  for (const char* topo : {"1x4", "2x2"}) {
+    rt::SchedulerConfig cfg;
+    cfg.num_threads = 4;
+    cfg.synthetic_topology = topo;
+    cfg.fault_plan.clear();  // exact ledgers and the full team
+    rt::Scheduler sched(cfg);
+    ASSERT_EQ(sched.num_workers(), 4u) << topo;
+
+    std::atomic<bool> done{false};
+    std::atomic<std::uint64_t> reads{0};
+    rt::StatsSnapshot last;
+    bool monotone = true;
+    std::thread reader([&] {
+      rt::StatsSnapshot prev = sched.stats();
+      rt::WorkerStats prev_total = sched.telemetry();
+      bool finished = false;
+      do {
+        // Read `done` first: the read below then follows the last region.
+        finished = done.load(std::memory_order_acquire);
+        rt::StatsSnapshot cur = sched.stats();
+        const rt::WorkerStats total = sched.telemetry();
+        for (std::size_t i = 0; i < cur.per_worker.size(); ++i) {
+          monotone = monotone && no_decrease(prev.per_worker[i],
+                                             cur.per_worker[i]);
+        }
+        monotone = monotone && no_decrease(prev_total, total);
+        prev = std::move(cur);
+        prev_total = total;
+        reads.fetch_add(1, std::memory_order_release);
+      } while (!finished);
+      last = std::move(prev);
+    });
+    // Called from inside each region while its tasks are in flight, so the
+    // reader's samples land under a live region.
+    const auto overlap_reads = [&reads] {
+      const std::uint64_t start = reads.load(std::memory_order_acquire);
+      while (reads.load(std::memory_order_acquire) < start + 2) {
+        std::this_thread::yield();
+      }
+    };
+
+    std::function<std::uint64_t(int)> fib = [&fib](int n) -> std::uint64_t {
+      if (n < 2) return static_cast<std::uint64_t>(n);
+      std::uint64_t a = 0, b = 0;
+      rt::spawn([&, n] { a = fib(n - 1); });
+      rt::spawn([&, n] { b = fib(n - 2); });
+      rt::taskwait();
+      return a + b;
+    };
+    std::uint64_t fib_result = 0;
+    sched.run_single([&] {
+      std::uint64_t a = 0, b = 0;
+      rt::spawn([&] { a = fib(19); });
+      rt::spawn([&] { b = fib(18); });
+      overlap_reads();
+      rt::taskwait();
+      fib_result = a + b;
+    });
+    std::atomic<int> flood{0};
+    sched.run_single([&] {
+      for (int i = 0; i < 4096; ++i) {
+        rt::spawn(rt::Tiedness::untied,
+                  [&flood] { flood.fetch_add(1, std::memory_order_relaxed); });
+        if (i == 2048) overlap_reads();
+      }
+      rt::taskwait();
+    });
+    std::atomic<std::uint64_t> range_sum{0};
+    sched.run_single([&] {
+      rt::spawn_range(0, 50000, 16, [&range_sum](std::int64_t i) {
+        range_sum.fetch_add(static_cast<std::uint64_t>(i) & 1,
+                            std::memory_order_relaxed);
+      });
+      overlap_reads();
+      rt::taskwait();
+    });
+    done.store(true, std::memory_order_release);
+    reader.join();
+
+    EXPECT_EQ(fib_result, 6765u) << topo;
+    EXPECT_EQ(flood.load(), 4096) << topo;
+    EXPECT_EQ(range_sum.load(), 25000u) << topo;
+    EXPECT_TRUE(monotone) << topo << ": a counter went backwards";
+    const rt::StatsSnapshot after = sched.stats();
+    EXPECT_EQ(last.per_worker, after.per_worker) << topo;
+    EXPECT_EQ(last.total, after.total) << topo;
+    EXPECT_EQ(after.total.tasks_executed + after.total.tasks_discarded,
+              after.total.tasks_deferred)
+        << topo;
   }
 }
 

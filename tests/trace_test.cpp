@@ -1,11 +1,11 @@
 // Tracing + pathology-detection tests (PR 10, trace.hpp / pathology.hpp):
 //
 //  * TraceRing mechanics: wraparound overwrites oldest, drain is
-//    exactly-once, dropped accounting, wrap-proof per-event counters,
-//  * event conservation against WorkerStats, per worker:
-//    spawn events == tasks_deferred + tasks_inlined_fast,
-//    steal-hit events == tasks_stolen, park == tsc_parked,
-//    unpark == parked_claimed,
+//    exactly-once, dropped accounting,
+//  * drained records against WorkerStats, per worker:
+//    spawn records == tasks_deferred + tasks_inlined_fast,
+//    sum of steal-hit args == tasks_stolen, park == tsc_parked,
+//    unpark == parked_claimed, split == range_splits,
 //  * the knob-off zero-cost baseline: RT_TRACE=0 allocates nothing and
 //    leaves every Worker::ring null,
 //  * one synthetic provocation per pathology detector — serialized creation
@@ -90,20 +90,8 @@ TEST(TraceRing, WraparoundKeepsNewestAndCountsDropped) {
   ASSERT_EQ(out.size(), cap);
   for (std::uint64_t i = 0; i < cap; ++i)
     EXPECT_EQ(out[i].arg, total - cap + i);
-  // ...counts everything overwritten as dropped...
+  // ...and counts everything overwritten as dropped.
   EXPECT_EQ(ring.dropped(), total - cap);
-  // ...and the per-event counter is wrap-proof.
-  EXPECT_EQ(ring.count(rt::TraceEvent::spawn), total);
-}
-
-TEST(TraceRing, WeightedCounts) {
-  rt::TraceRing ring(16);
-  ring.record(rt::TraceEvent::steal_hit, 7, 0, 7);  // one raid, seven tasks
-  ring.record(rt::TraceEvent::steal_hit, 3, 0, 3);
-  EXPECT_EQ(ring.count(rt::TraceEvent::steal_hit), 10u);
-  std::vector<rt::TraceRecord> out;
-  ring.drain(out);
-  EXPECT_EQ(out.size(), 2u);  // weight inflates the counter, not the ring
 }
 
 // ---------------------------------------------------------------------------
@@ -114,7 +102,7 @@ TEST(TraceConservation, SpawnStealParkEventsMatchWorkerStats) {
   rt::SchedulerConfig cfg;
   cfg.num_threads = 4;
   cfg.trace = true;
-  cfg.trace_buf = 1 << 12;
+  cfg.trace_buf = 1 << 18;  // room for a whole region: nothing is dropped
   rt::Scheduler sched(cfg);
   std::uint64_t got = 0;
   sched.run_single([&] { got = spawn_fib(22); });
@@ -129,31 +117,39 @@ TEST(TraceConservation, SpawnStealParkEventsMatchWorkerStats) {
   EXPECT_EQ(got, fib_ref(22));
   EXPECT_EQ(range_sum.load(), 25000u);
 
-  const rt::TraceCollector* tc = sched.tracer();
+  rt::TraceCollector* tc = sched.tracer();
   ASSERT_NE(tc, nullptr);
+  tc->drain_all();
+  ASSERT_EQ(tc->dropped(), 0u);
   const rt::StatsSnapshot snap = sched.stats();
   ASSERT_EQ(tc->num_workers(), snap.per_worker.size());
+  std::uint64_t spawn_total = 0;
   for (unsigned i = 0; i < tc->num_workers(); ++i) {
+    std::uint64_t spawn = 0, stolen = 0, park = 0, unpark = 0, split = 0;
+    for (const rt::TraceRecord& r : tc->events(i)) {
+      switch (static_cast<rt::TraceEvent>(r.type)) {
+        case rt::TraceEvent::spawn: ++spawn; break;
+        case rt::TraceEvent::steal_hit: stolen += r.arg; break;
+        case rt::TraceEvent::park: ++park; break;
+        case rt::TraceEvent::unpark: ++unpark; break;
+        case rt::TraceEvent::split: ++split; break;
+        default: break;
+      }
+    }
+    spawn_total += spawn;
     const rt::WorkerStats& ws = snap.per_worker[i];
-    // Every deferred or fast-inlined spawn recorded exactly one spawn event
+    // Every deferred or fast-inlined spawn left exactly one spawn record
     // (split halves included on the deferred side).
-    EXPECT_EQ(tc->count(i, rt::TraceEvent::spawn),
-              ws.tasks_deferred + ws.tasks_inlined_fast)
+    EXPECT_EQ(spawn, ws.tasks_deferred + ws.tasks_inlined_fast)
         << "worker " << i;
-    // steal_hit counters bump by the raid's task count.
-    EXPECT_EQ(tc->count(i, rt::TraceEvent::steal_hit), ws.tasks_stolen)
-        << "worker " << i;
-    EXPECT_EQ(tc->count(i, rt::TraceEvent::park), ws.tsc_parked)
-        << "worker " << i;
-    EXPECT_EQ(tc->count(i, rt::TraceEvent::unpark), ws.parked_claimed)
-        << "worker " << i;
-    EXPECT_EQ(tc->count(i, rt::TraceEvent::split), ws.range_splits)
-        << "worker " << i;
+    // A steal_hit record carries the raid's task count.
+    EXPECT_EQ(stolen, ws.tasks_stolen) << "worker " << i;
+    EXPECT_EQ(park, ws.tsc_parked) << "worker " << i;
+    EXPECT_EQ(unpark, ws.parked_claimed) << "worker " << i;
+    EXPECT_EQ(split, ws.range_splits) << "worker " << i;
   }
-  // The suite-wide law the satellite names.
-  EXPECT_EQ(tc->total(rt::TraceEvent::spawn),
+  EXPECT_EQ(spawn_total,
             snap.total.tasks_deferred + snap.total.tasks_inlined_fast);
-  EXPECT_EQ(tc->total(rt::TraceEvent::steal_hit), snap.total.tasks_stolen);
 }
 
 TEST(TraceKnob, OffCostsNothingAndAllocatesNothing) {
@@ -193,7 +189,8 @@ TEST(TracePathology, CreationSerializationFiresOnRootOnlySpawns) {
   EXPECT_EQ(sum.load(), 4000u);
   ASSERT_NE(sched.tracer(), nullptr);
   sched.tracer()->drain_all();
-  const rt::PathologyReport rep = rt::analyze_pathologies(*sched.tracer());
+  const rt::PathologyReport rep =
+      rt::analyze_pathologies(*sched.tracer(), sched.stats());
   EXPECT_TRUE(rep.creation_serialization.fired)
       << rep.creation_serialization.detail;
   EXPECT_GE(rep.creation_serialization.score, 0.9);
@@ -214,7 +211,8 @@ TEST(TracePathology, DepthFirstStarvationFiresOnTinyDepthCutoff) {
   EXPECT_EQ(got, fib_ref(24));
   ASSERT_NE(sched.tracer(), nullptr);
   sched.tracer()->drain_all();
-  const rt::PathologyReport rep = rt::analyze_pathologies(*sched.tracer());
+  const rt::PathologyReport rep =
+      rt::analyze_pathologies(*sched.tracer(), sched.stats());
   EXPECT_TRUE(rep.depth_first_starvation.fired)
       << rep.depth_first_starvation.detail;
 }
@@ -225,30 +223,42 @@ TEST(TracePathology, CrossNodePingPongFiresOnForcedSymmetricMailing) {
   // comparable to the spawn rate — the bounce pattern birth-node tags exist
   // to expose. (Healthy runs steal rarely relative to spawns and mostly in
   // one direction at a time; see the quiet tests below.)
+  // The counters of the same window: each worker spawned 60 tasks, worker 1
+  // stole 60.
+  rt::StatsSnapshot stats;
+  stats.per_worker.resize(2);
+  stats.per_worker[0].tasks_deferred = 60;
+  stats.per_worker[1].tasks_deferred = 60;
+  stats.per_worker[1].tasks_stolen = 60;
   rt::TraceCollector tc(2, 256);
   for (int i = 0; i < 60; ++i) {
     // Worker 0 (node 0) spawns, worker 1 (node 1) steals it away...
     tc.ring(0)->record(rt::TraceEvent::spawn, 1, 1);
     tc.ring(1)->record(rt::TraceEvent::steal_hit, 1,
-                       rt::trace_pack_nodes(0, 1), 1);
+                       rt::trace_pack_nodes(0, 1));
     // ...then node 1 splits it and mails the half straight back home.
     tc.ring(1)->record(rt::TraceEvent::spawn, 1, 1);
     tc.ring(1)->record(rt::TraceEvent::mailbox, /*birth node=*/0,
                        rt::trace_pack_nodes(/*target=*/0, /*sender=*/1));
   }
   tc.drain_all();
-  const rt::PathologyReport rep = rt::analyze_pathologies(tc);
+  const rt::PathologyReport rep = rt::analyze_pathologies(tc, stats);
   EXPECT_TRUE(rep.cross_node_ping_pong.fired) << rep.cross_node_ping_pong.detail;
 
   // One-directional flow of the same volume is migration, not ping-pong.
+  rt::StatsSnapshot oneway_stats;
+  oneway_stats.per_worker.resize(2);
+  oneway_stats.per_worker[0].tasks_deferred = 60;
+  oneway_stats.per_worker[1].tasks_stolen = 60;
   rt::TraceCollector oneway(2, 256);
   for (int i = 0; i < 60; ++i) {
     oneway.ring(0)->record(rt::TraceEvent::spawn, 1, 1);
     oneway.ring(1)->record(rt::TraceEvent::steal_hit, 1,
-                           rt::trace_pack_nodes(0, 1), 1);
+                           rt::trace_pack_nodes(0, 1));
   }
   oneway.drain_all();
-  EXPECT_FALSE(rt::analyze_pathologies(oneway).cross_node_ping_pong.fired);
+  EXPECT_FALSE(rt::analyze_pathologies(oneway, oneway_stats)
+                   .cross_node_ping_pong.fired);
 }
 
 // ---------------------------------------------------------------------------
@@ -264,7 +274,8 @@ TEST(TracePathology, QuietOnHealthyFlatRun) {
   sched.run_single([&] { got = spawn_fib(24); });
   EXPECT_EQ(got, fib_ref(24));
   sched.tracer()->drain_all();
-  const rt::PathologyReport rep = rt::analyze_pathologies(*sched.tracer());
+  const rt::PathologyReport rep =
+      rt::analyze_pathologies(*sched.tracer(), sched.stats());
   EXPECT_FALSE(rep.creation_serialization.fired)
       << rep.creation_serialization.detail;
   EXPECT_FALSE(rep.depth_first_starvation.fired)
@@ -288,7 +299,8 @@ TEST(TracePathology, QuietOnHealthyNumaRangeRun) {
     rt::taskwait();
   });
   sched.tracer()->drain_all();
-  const rt::PathologyReport rep = rt::analyze_pathologies(*sched.tracer());
+  const rt::PathologyReport rep =
+      rt::analyze_pathologies(*sched.tracer(), sched.stats());
   EXPECT_FALSE(rep.creation_serialization.fired)
       << rep.creation_serialization.detail;
   EXPECT_FALSE(rep.depth_first_starvation.fired)
@@ -329,6 +341,7 @@ TEST(TraceServer, RequestSlicesBalance) {
   rt::SchedulerConfig cfg;
   cfg.num_threads = 4;
   cfg.trace = true;
+  cfg.trace_buf = 1 << 18;  // room for the whole server run: nothing dropped
   rt::Scheduler sched(cfg);
   {
     rt::ServerConfig sc;
@@ -347,9 +360,17 @@ TEST(TraceServer, RequestSlicesBalance) {
   rt::TraceCollector* tc = sched.tracer();
   ASSERT_NE(tc, nullptr);
   tc->drain_all();
+  ASSERT_EQ(tc->dropped(), 0u);
+  std::uint64_t starts = 0, ends = 0;
+  for (unsigned i = 0; i < tc->num_workers(); ++i) {
+    for (const rt::TraceRecord& r : tc->events(i)) {
+      const auto ev = static_cast<rt::TraceEvent>(r.type);
+      starts += ev == rt::TraceEvent::request_start;
+      ends += ev == rt::TraceEvent::request_end;
+    }
+  }
   // Every request that started also ended, on whatever worker ran it; the
   // exporter pairs these into perfetto "X" slices.
-  EXPECT_EQ(tc->total(rt::TraceEvent::request_start),
-            tc->total(rt::TraceEvent::request_end));
-  EXPECT_GE(tc->total(rt::TraceEvent::request_start), 8u);
+  EXPECT_EQ(starts, ends);
+  EXPECT_GE(starts, 8u);
 }
