@@ -10,7 +10,7 @@
 //            where the hierarchical policy's same-node-first order and
 //            cross-node batch damping pay on a multi-node topology.
 //
-// Modes, one RECONF: JSON line each (scraped by bench/run_baseline.sh):
+// Modes, one RECONF: JSON line each:
 //   fixed_last_victim    no swap: phase 2 runs on phase 1's policy
 //   fixed_hierarchical   no swap: phase 1 runs on phase 2's policy
 //   oracle               TaskServer::retune() exactly at the phase boundary

@@ -103,18 +103,5 @@ int main(int argc, char** argv) {
               << ")\n";
   }
 
-  // Per-entry runtime placement/grain record, machine-consumed by
-  // bench/run_baseline.sh (same sentinel-block protocol as CSV:): app,
-  // verifiably-pinned workers at the top thread count, and the per-site
-  // adaptive grain the best run converged to.
-  std::cout << "\nSITEGRAIN:\n";
-  for (const auto& app : core::apps()) {
-    const auto& best = g_results[{app.name, sweep.threads.back()}].best;
-    std::cout << app.name << ",pinned=" << best.runtime_stats.pinned << "/"
-              << sweep.threads.back() << ","
-              << (best.grain_sites.empty() ? "n/a" : best.grain_sites)
-              << "\n";
-  }
-  std::cout << "\n";
   return 0;
 }

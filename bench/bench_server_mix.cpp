@@ -14,9 +14,8 @@
 //              into unbounded queueing or lost requests.
 //
 // Every leg reports p50/p99 admission-to-terminal latency, throughput and
-// the terminal-state tally as one "SERVERMIX: {json}" line (scraped by
-// bench/run_baseline.sh), and the process exits non-zero if ANY robustness
-// invariant fails:
+// the terminal-state tally as one "SERVERMIX: {json}" line, and the process
+// exits non-zero if ANY robustness invariant fails:
 //   * every submitted request reaches exactly one terminal state
 //   * per-request ledgers balance (executed + discarded == deferred)
 //   * completed requests produced the right answers

@@ -30,8 +30,8 @@
 //   BOTS_SPAWN_INLINE_DEPTH  fib_inline deferral depth     (default 8)
 //   BOTS_BENCH_REPS          repetitions, best-of          (default 5)
 //
-// Output: one JSON object per line (machine-readable, consumed by
-// bench/run_baseline.sh) followed by a human-readable summary on stderr.
+// Output: one JSON object per line (machine-readable) followed by a
+// human-readable summary on stderr.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>

@@ -53,9 +53,8 @@ struct RunReport {
   Verified verified = Verified::not_checked;
   rt::WorkerStats runtime_stats;  ///< aggregated scheduler counters
   /// Converged grain per spawn site after the run (GrainTable::describe,
-  /// e.g. "global=1 sort/merge=8"); empty for serial runs. Recorded by
-  /// run_baseline.sh next to each Figure-3 entry so per-site convergence
-  /// stays visible in the perf trajectory.
+  /// e.g. "global=1 sort/merge=8"); empty for serial runs. Printed by
+  /// `bots_run --stats`.
   std::string grain_sites;
 
   /// Speed-up versus a serial baseline, using the metric when present

@@ -286,9 +286,9 @@ class GrainTable {
     for (Slot& s : sites_) s.ctrl.on_region_start();
   }
 
-  /// "global=G site=G ..." for every site that has bound a slot — recorded
-  /// by bench_ablation_steal_policy and run_baseline.sh so per-site
-  /// convergence stays visible in the perf trajectory.
+  /// "global=G site=G ..." for every site that has bound a slot — printed
+  /// by bench_ablation_steal_policy and `bots_run --stats` so per-site
+  /// convergence stays visible.
   [[nodiscard]] std::string describe() const {
     std::ostringstream os;
     os << "global=" << global_.grain();

@@ -158,8 +158,8 @@ class Topology {
   /// "synthetic", "sysfs" or "flat".
   [[nodiscard]] const std::string& source() const noexcept { return source_; }
 
-  /// Human-readable summary, e.g. "2x4 (synthetic)" — recorded by
-  /// bench/run_baseline.sh so perf numbers stay interpretable across boxes.
+  /// Human-readable summary, e.g. "2x4 (synthetic)" — printed by
+  /// bench_ablation_steal_policy so its numbers name the box they ran on.
   [[nodiscard]] std::string describe() const {
     std::ostringstream os;
     os << num_nodes() << 'x'

@@ -718,6 +718,10 @@ TEST(Cutoff, MaxDepthSeesThroughZeroAllocInlineFrames) {
                             .cutoff = rt::CutoffPolicy::max_depth,
                             .cutoff_value = 5};
     cfg.use_inline_fast_path = inline_fast;
+    // Exact counts below: with the inline path off every spawn allocates a
+    // descriptor, and an injected pool + heap failure inlines a deferrable
+    // spawn on the degradation ladder's last rung.
+    cfg.fault_plan.clear();
     rt::Scheduler s(cfg);
     std::uint64_t r = 0;
     s.run_single([&] { r = fib_task(17, rt::Tiedness::tied); });
