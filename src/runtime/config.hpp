@@ -195,14 +195,18 @@ struct SchedulerConfig {
   // -- spawn/steal fast-path knobs (each togglable so the ablation benches
   // -- and bench_spawn_overhead can A/B the overhaul piecewise) --------------
 
-  /// Batch live-task accounting: spawn/finish adjust a per-worker delta that
-  /// is flushed to the shared Region::live_tasks atomic every
-  /// `accounting_batch` operations and whenever the worker reaches a task
-  /// scheduling point with no local work. Off: every spawn/finish does its
-  /// own fetch_add on the shared cacheline (the seed behaviour).
+  /// Batch live-task accounting. Matters only under the counting cut-offs
+  /// (max_tasks, adaptive), the sole readers of Region::live_tasks; under
+  /// none and max_depth nothing counts live tasks and this knob is inert.
+  /// On: spawn/finish adjust a per-worker delta that is flushed to the
+  /// shared Region::live_tasks atomic every `accounting_batch` operations
+  /// and whenever the worker reaches a task scheduling point with no local
+  /// work. Off: every spawn/finish does its own fetch_add on the shared
+  /// cacheline (the seed behaviour).
   bool batch_accounting = true;
-  /// Flush threshold for batched accounting. The max_tasks/adaptive cut-offs
-  /// may observe live_tasks stale by at most `accounting_batch * team_size`.
+  /// Flush threshold for batched accounting (counting cut-offs only). The
+  /// max_tasks/adaptive cut-offs may observe live_tasks stale by at most
+  /// `accounting_batch * team_size`.
   std::uint32_t accounting_batch = 32;
 
   /// Steal up to half of the victim's deque in one grab and keep the surplus

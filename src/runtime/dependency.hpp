@@ -231,8 +231,8 @@ class DepScope {
     }
     apply_writes(deps, t);
     // Full spawn-side accounting happens HERE — the release at predecessor
-    // finish only routes the task onto a queue, so live counts can never
-    // make a barrier open early and never double-count.
+    // finish only routes the task onto a queue, so the ledgers count it
+    // once, from the moment it exists.
     ++w->stats.tasks_deferred;
     trace_record(w->ring, TraceEvent::spawn, t->depth(), 1);
     s.account_dep_spawn(*w, *t);

@@ -78,6 +78,9 @@ Scheduler::Scheduler(SchedulerConfig cfg)
   fault_.parse(cfg_.fault_plan);
   use_slot_ = cfg_.lifo_slot && cfg_.local_order == LocalOrder::lifo;
   acct_batch_ = cfg_.accounting_batch > 0 ? cfg_.accounting_batch : 1;
+  count_live_ = cfg_.cutoff == CutoffPolicy::max_tasks ||
+                cfg_.cutoff == CutoffPolicy::adaptive;
+  roots_.assign(cfg_.num_threads, nullptr);
   rebuild_mailboxes();
   {
     std::lock_guard<std::mutex> lock(reconf_mutex_);
@@ -131,6 +134,7 @@ void Scheduler::shrink_team(unsigned built) {
   // exactly `built - 1` threads were emplaced, so workers_[built..) have no
   // thread attached and nothing observes their destruction.
   workers_.resize(built);
+  roots_.resize(built);  // the barrier reads one root per LIVE worker
   // Re-map locality onto the team that actually exists — node ids, hints,
   // mailboxes and the policy were all sized for the planned team.
   topo_ = Topology::detect(built, cfg_.synthetic_topology);
@@ -375,6 +379,9 @@ void Scheduler::run_ctx_root(RegionCtx& ctx, const std::function<void()>& body) 
   Task* parent = w.current;
   const std::uint32_t depth =
       (parent != nullptr ? parent->depth() + 1 : 1) + w.inline_depth;
+  // The frame hangs under this worker's implicit task (w.current), so the
+  // region barrier's root test also covers a request still in flight when
+  // the resident region's workers reach their final barrier.
   if (parent != nullptr) parent->add_child_ref();
   // UNTIED: while this worker waits in the request's join it may claim any
   // other request's tasks — no cross-request convoying through the TSC.
@@ -494,12 +501,14 @@ void Scheduler::dump_stall_report(Region& r) {
   // Stderr, single writer (only the monitor calls this). Reads shared
   // atomics only — per-worker plain fields are the workers' property and
   // are deliberately not touched.
-  std::fprintf(stderr,
-               "rt: STALL: no task progress for %u ms "
-               "(live_tasks=%lld parked=%zu arrived=%u cancel=%s)\n",
-               watchdog_tunables().first,
-               static_cast<long long>(
-                   r.live_tasks.load(std::memory_order_relaxed)),
+  std::fprintf(stderr, "rt: STALL: no task progress for %u ms (",
+               watchdog_tunables().first);
+  if (count_live_) {  // kept only under the counting cut-offs
+    std::fprintf(stderr, "live_tasks=%lld ",
+                 static_cast<long long>(
+                     r.live_tasks.load(std::memory_order_relaxed)));
+  }
+  std::fprintf(stderr, "parked=%zu arrived=%u cancel=%s)\n",
                r.parked_count.load(std::memory_order_relaxed),
                r.arrived.load(std::memory_order_relaxed),
                to_string(r.status()));
@@ -569,10 +578,12 @@ void Scheduler::participate(Worker& w, Region& r) {
   pin_snapshot(w);
 
   // The implicit task for this worker. It lives on this stack frame; the
-  // region-end quiescence barrier guarantees every descendant has finished
-  // (and dropped its reference) before the frame dies.
+  // region-end barrier opens only once every root is exclusive, i.e. every
+  // descendant has finished and dropped its reference, before the frame
+  // dies. Published before this worker's first arrival RMW (barrier_from).
   Task root;
   root.set_links(nullptr, 0, Tiedness::tied, TaskStorage::stack_frame);
+  roots_[w.id] = &root;
   w.current = &root;
 
   try {
@@ -742,8 +753,9 @@ void Scheduler::flush_outbound_stashes(Worker& w) noexcept {
 }
 
 void Scheduler::flush_accounting(Worker& w) noexcept {
-  // Folded replay completions first, so that by the time this worker's
-  // live-count decrements are visible, so are its announcements.
+  // Folded replay completions first: an unpaid fold keeps its parent — and
+  // through it a root — non-exclusive, so the barrier waits for this flush.
+  // The delta is non-zero only under the counting cut-offs.
   flush_fold(w);
   if (w.live_delta != 0) {
     w.region->live_tasks.fetch_add(w.live_delta, std::memory_order_acq_rel);
@@ -754,12 +766,13 @@ void Scheduler::flush_accounting(Worker& w) noexcept {
 }
 
 void Scheduler::account_spawn(Worker& w) noexcept {
+  if (!count_live_) return;  // no cut-off reads the estimate
   if (cfg_.batch_accounting) {
     ++w.live_delta;
     // Once this worker has arrived at a barrier, increments flush eagerly:
-    // a batched +1 held across an execute could otherwise cancel against
-    // the (already flushed) finish of the same subtree on another worker
-    // and let the barrier observe zero with work still in flight.
+    // a batched +1 held across an execute would otherwise cancel against
+    // the (already flushed) finish of the same subtree on another worker,
+    // and the cut-off would read a population missing that work.
     if (w.barrier_draining || ++w.acct_ops >= acct_batch_) {
       flush_accounting(w);
     }
@@ -1029,9 +1042,15 @@ void Scheduler::finish_task(Worker& w, Task& t, bool deferred) {
   // ref_one — fuse the announcement and the release into ONE parent RMW, so
   // no window exists at all. Exclusivity is stable here because refs and
   // children are only ever added by t's own executor, and t's body has
-  // finished. (2) Record the live_tasks decrement last, so the region
-  // barrier's quiescence (live_tasks == 0) implies every release chain has
-  // finished and the implicit root frames can safely leave the stack.
+  // finished. (2) Every path ends in an RMW on the parent chain, so the
+  // last RMW on an implicit root — the one that makes it exclusive and
+  // lets the region barrier open — comes after every disposal below it.
+  // Nothing here touches the root after that RMW: child_completed_and_
+  // release returns false for a root (its own reference remains) and
+  // release_chain stops there, so the frame may leave the stack at once.
+  // What follows touches only the Region, which outlives every worker's
+  // region_done_ arrival, and the request context, whose join waits for
+  // the note_finished below.
   if (cfg_.fused_finish && t.exclusive()) {
     // Exclusive: no child or release chain can reach t anymore, so t dies
     // without an RMW and both halves of the parent update — the
@@ -1041,7 +1060,10 @@ void Scheduler::finish_task(Worker& w, Task& t, bool deferred) {
       // A replayed node: its parent is the replaying task, blocked in the
       // replay's join, so the RMW can wait in this worker's fold and be
       // paid for up to fold_batch nodes at once — the completion-side twin
-      // of replay's bulk charge. Graph storage is never disposed.
+      // of replay's bulk charge. Graph storage is never disposed. Until the
+      // fold is paid (at the latest by this worker's idle-path flush) the
+      // parent, and so its implicit root, stays non-exclusive: the region
+      // barrier cannot open over an owed announcement.
       fold_completion(w, *parent);
     } else {
       dispose(w, t);
@@ -1061,7 +1083,9 @@ void Scheduler::finish_task(Worker& w, Task& t, bool deferred) {
     release_chain(w, &t);
   }
   if (deferred && region != nullptr) {
-    if (cfg_.batch_accounting) {
+    if (!count_live_) {
+      // No cut-off reads the estimate: nothing to count.
+    } else if (cfg_.batch_accounting) {
       --w.live_delta;
       if (++w.acct_ops >= acct_batch_) flush_accounting(w);
     } else {
@@ -1114,11 +1138,9 @@ void Scheduler::taskwait_from(Worker& w) {
   settle_charge(w);
   flush_fold(w);
   if (cur->unfinished_children() == 0) return;
-  // No accounting flush here: the wait relies on the exact per-parent
-  // unfinished_children counter, not live_tasks, and a worker inside a
-  // taskwait has not arrived at the barrier, so the barrier cannot open on
-  // its unflushed increments. The idle path below still flushes (the
-  // barrier's last arriver may be spinning on this worker's decrements).
+  // The wait reads the exact per-parent unfinished_children counter. The
+  // idle path below still flushes: folds owed to another task's join, and
+  // under the counting cut-offs the live-task delta the cut-off reads.
   const bool constrains = cur->tiedness() == Tiedness::tied;
   if (constrains) {
     // Extend the verified ancestor-chain prefix when possible. The claim's
@@ -1160,30 +1182,36 @@ void Scheduler::barrier_from(Worker& w) {
   Region& r = *w.region;
   assert(w.current != nullptr && w.current->depth() == 0 &&
          "barrier() is only valid from the implicit task of a region");
-  // The barrier opens on live_tasks == 0, so unflushed POSITIVE deltas are
-  // the dangerous direction here (they make the global counter undercount
-  // and could open the barrier with tasks still pending). Two rules keep it
-  // sound: every worker flushes before arriving, and from arrival on its
-  // spawn-side increments flush eagerly (Worker::barrier_draining, checked
-  // by enqueue) — a batched +1 held across an execute could otherwise
-  // cancel against the already-flushed finish of the same subtree on
-  // another worker and zero the counter with work still running. With all
-  // arrivers' increments flushed, unflushed deltas are never positive, so
-  // the global counter never undercounts: zero really means quiescent.
-  // Negative deltas only overcount and merely keep the barrier spinning one
-  // more round until the idle-path flush.
+  // The barrier opens when the task tree is empty, read off the implicit
+  // tasks' state words: every live task holds a reference chain up to some
+  // worker's root frame (roots_), so once every implicit task has arrived,
+  // all roots exclusive() — state word exactly ref_one — means no explicit
+  // task is left. Once all have arrived that reading is stable: only a
+  // root's own implicit task charges an exclusive root (anyone else adding
+  // to it — a range split, a dependent spawn — runs a task that holds a
+  // reference on it), and an arrived implicit task runs no body of its own,
+  // only claimed tasks. Settling returns this root's unused spawn slots
+  // first; the flush pays folds (an unpaid fold keeps its parent, and so a
+  // root, non-exclusive) and, under the counting cut-offs, the live delta,
+  // whose spawn side flushes eagerly from here on (Worker::barrier_draining).
   settle_charge(w);
   flush_accounting(w);
   w.barrier_draining = true;
   w.parked_recheck = true;  // the barrier suspends no tied task: drain all
   const std::uint32_t gen = r.barrier_gen.load(std::memory_order_acquire);
+  // The arrival RMW releases this worker's roots_ entry (stored in
+  // participate) and its root's settle; the last arriver's RMW acquires all.
   const std::uint32_t n = r.arrived.fetch_add(1, std::memory_order_acq_rel) + 1;
   Backoff backoff;
   if (n == r.team_size) {
     // Last arriver: drain every outstanding task, then release the team.
-    // Decrements may lag in the local delta (the counter then overcounts
-    // and we spin one more round); the idle path flushes them.
-    while (r.live_tasks.load(std::memory_order_acquire) != 0) {
+    // Roots below `open` already read exclusive, which is final.
+    unsigned open = 0;
+    const auto tree_empty = [&]() noexcept {
+      while (open < r.team_size && roots_[open]->exclusive()) ++open;
+      return open == r.team_size;
+    };
+    while (!tree_empty()) {
       if (Task* t = find_work(w)) {
         execute_deferred(w, *t);
         backoff.reset();
@@ -1362,8 +1390,9 @@ Task* Scheduler::steal_work(Worker& w, bool& progress) {
   // A raid returns the oldest stolen task (or parks it when the TSC refuses
   // it) and keeps any surplus in the private stash, which find_work drains
   // before touching the deque (see Worker::stash). The caller guarantees
-  // the stash is empty here. Surplus was already counted in live_tasks when
-  // first enqueued, so no accounting happens on this path.
+  // the stash is empty here. Surplus keeps the references it was spawned
+  // with (and, under the counting cut-offs, the live count enqueue gave
+  // it), so no accounting happens on this path.
   auto raid = [&](unsigned v) -> std::size_t {
     ++w.stats.steal_attempts;
     trace_record(w.ring, TraceEvent::steal_attempt, v);

@@ -26,21 +26,24 @@
 //
 // Fast-path design (the BOTS overhead knobs this repo exists to measure)
 // ----------------------------------------------------------------------
-// * Batched live-task accounting: Region::live_tasks is the only per-spawn
-//   shared-cacheline counter, so spawn/finish adjust a per-worker delta
-//   instead and flush it every SchedulerConfig::accounting_batch operations
-//   and at every task scheduling point where the worker finds no local work
-//   (taskwait/barrier entry and their idle iterations). Quiescence stays
-//   sound: the global counter always equals true-live minus the sum of
-//   unflushed deltas, and once a worker arrives at a barrier its spawn-side
-//   increments flush eagerly (enqueue checks Worker::barrier_draining) —
-//   so when all workers have arrived, no unflushed delta is ever positive,
-//   the global counter never undercounts, and zero really means quiescent.
-//   (Batching an increment across an execute would otherwise let it cancel
-//   against the already-flushed finish of the same subtree executed
-//   elsewhere, zeroing the counter with work still running.) taskwait needs
-//   no such care: it waits on the exact per-parent unfinished-children
-//   counter, not on live_tasks. Deltas are region-scoped, reset on entry.
+// * Quiescence from the task tree: the region barrier counts nothing per
+//   task. Every live task holds a reference on its parent from spawn until
+//   its descriptor is disposed, so every live task hangs by a reference
+//   chain from some worker's implicit root frame (Scheduler::roots_). Once
+//   every implicit task has arrived, the last arriver opens the barrier when
+//   every root reads exclusive() — state word exactly ref_one: no child, no
+//   reference but its own. The test is exact, and stable: only a root's own
+//   implicit task adds to an exclusive root (any other charger already holds
+//   a reference on it), and after arrival that task runs no body of its own.
+//   taskwait waits on the same per-parent words, one level down.
+// * Live-task estimate only where a cut-off reads it: Region::live_tasks
+//   is an input of the counting cut-offs (max_tasks, adaptive) and of
+//   nothing else, so under none and max_depth spawn, finish and replay do
+//   no live-task accounting at all. Under the counting cut-offs spawn and
+//   finish adjust a per-worker delta flushed every
+//   SchedulerConfig::accounting_batch operations, at every idle scheduling
+//   point and — from barrier arrival on — at every spawn, so the estimate
+//   the cut-off reads stays close. Deltas are region-scoped, reset on entry.
 // * LIFO slot: the newest spawned task waits in a private one-entry slot
 //   (Worker::slot) instead of the deque, so the hottest pop of depth-first
 //   recursion costs two plain stores instead of a seq_cst-fenced deque pop.
@@ -156,7 +159,7 @@
 // std::chrono::milliseconds budget report RegionStatus::deadline_exceeded),
 // the stall watchdog with cfg.watchdog_cancel, or the first captured task
 // exception with cfg.cancel_on_exception. The monitor thread (deadline +
-// watchdog) samples per-worker progress counters and live_tasks only.
+// watchdog) samples per-worker progress counters only.
 //
 // Degradation ladder: descriptor allocation falls from the pool
 // rung to a plain per-descriptor heap rung
@@ -218,7 +221,10 @@ struct RegionResult {
 struct Region {
   explicit Region(unsigned team) : team_size(team) {}
 
-  std::atomic<std::int64_t> live_tasks{0};   ///< deferred tasks not yet finished
+  /// Deferred tasks not yet finished, counted only under the counting
+  /// cut-offs (Scheduler::counts_live_tasks); an estimate, never a
+  /// quiescence input.
+  std::atomic<std::int64_t> live_tasks{0};
   std::atomic<std::uint32_t> arrived{0};     ///< barrier arrival count
   std::atomic<std::uint32_t> barrier_gen{0}; ///< barrier generation (reusable)
   std::atomic<bool> has_exception{false};
@@ -424,6 +430,8 @@ class Worker {
   static constexpr std::size_t stash_capacity = 64;
 
   // -- spawn/steal fast-path state (region-scoped, reset on region entry) --
+  // live_delta/acct_ops/barrier_draining move only under the counting
+  // cut-offs (Scheduler::counts_live_tasks).
   std::int64_t live_delta = 0;     ///< unflushed Region::live_tasks change
   std::uint32_t acct_ops = 0;      ///< spawns/finishes since the last flush
   bool barrier_draining = false;   ///< arrived at a barrier: increments flush eagerly
@@ -454,8 +462,9 @@ class Worker {
   /// private array: surplus handling costs two stores per task instead of a
   /// deque push + fenced pop. Invisible to other thieves only while waiting
   /// here — every find_work drains the stash first and parks (publishes) any
-  /// entry the TSC refuses, so the progress argument is unaffected; entries
-  /// are still counted in Region::live_tasks, so quiescence is unaffected.
+  /// entry the TSC refuses, so the progress argument is unaffected. Each
+  /// entry still holds its reference on its parent, so the barrier's root
+  /// test sees it like any queued task.
   std::size_t stash_count = 0;
   Task* stash[stash_capacity];
 
@@ -777,6 +786,9 @@ class Scheduler {
 
   // ---- internal API used by the spawn fast path (do not call directly) ----
   [[nodiscard]] bool should_defer(Worker& w, std::uint32_t depth) noexcept;
+  /// Whether Region::live_tasks is kept: only the counting cut-offs
+  /// (max_tasks, adaptive) read it; the barrier never does.
+  [[nodiscard]] bool counts_live_tasks() const noexcept { return count_live_; }
   /// Charge w.current one child + reference for a spawn (see SpawnCharge).
   static void charge_parent(Worker& w) noexcept {
     SpawnCharge& c = w.charge;
@@ -815,7 +827,7 @@ class Scheduler {
   /// publish plus the slot-or-deque push ONLY. All spawn-side accounting
   /// (worker ledger, region live count, request ledger) happened when the
   /// task was dep-spawned or bulk-charged by a replay, so a release can
-  /// never double-count and a barrier can never open early.
+  /// never double-count.
   void enqueue_released(Worker& w, Task& t);
   /// The accounting half, called at dep-spawn time — dep tasks reach a
   /// queue only when their predecessors release them, possibly much later.
@@ -944,7 +956,16 @@ class Scheduler {
   bool caller_pinned_ = false;
   bool use_slot_ = false;  ///< cfg_.lifo_slot effective under LocalOrder::lifo
   std::uint32_t acct_batch_ = 1;  ///< cached cfg_.accounting_batch (>= 1)
+  bool count_live_ = false;       ///< cfg_.cutoff is max_tasks or adaptive
   std::vector<std::unique_ptr<Worker>> workers_;
+  /// Implicit root frame of each team worker in the current region, indexed
+  /// by worker id and sized to the live team (shrink_team resizes it). Kept
+  /// here rather than in Worker so the hot per-worker layout is untouched.
+  /// participate stores a worker's entry before its first barrier arrival
+  /// RMW; the last arriver reads every entry only after its own arrival RMW,
+  /// which acquires them all. Plain pointers: the next region's stores
+  /// happen after run_region's teardown has observed region_done_.
+  std::vector<Task*> roots_;
   std::vector<std::jthread> threads_;
 
   std::mutex region_mutex_;

@@ -118,16 +118,18 @@ void TaskGraph::replay(Worker& w) {
   // the per-spawn parent-cacheline traffic a replay exists to avoid.
   parent->add_children_bulk(n);
   // Bulk spawn-side accounting, BEFORE any root is published: the creation
-  // invariant (created == deferred on this path) and the region/request
-  // live counts can only ever overcount in-flight work, never open a
-  // barrier early.
+  // invariant (created == deferred on this path), the request's live count
+  // (its join can only ever overcount in-flight work) and, under the
+  // counting cut-offs, the region's live-task estimate.
   w.stats.tasks_created += n;
   w.stats.tasks_deferred += n;
   w.stats.env_bytes += env_bytes_;
   // One record for the whole replayed graph (payload = node count).
   trace_record(w.ring, TraceEvent::spawn, n, 1);
-  w.region->live_tasks.fetch_add(static_cast<std::int64_t>(n),
-                                 std::memory_order_release);
+  if (s.counts_live_tasks()) {
+    w.region->live_tasks.fetch_add(static_cast<std::int64_t>(n),
+                                   std::memory_order_release);
+  }
   if (replay_ctx_ != nullptr) replay_ctx_->note_deferred_bulk(n);
   // Workers start from the recorded root frontier; interior nodes surface
   // through the finish-path successor walk exactly as their predecessors

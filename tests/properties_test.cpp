@@ -35,33 +35,128 @@ namespace {
 // ---------------------------------------------------------------------------
 
 TEST(Properties, RegionQuiescenceUnderRandomSpawnTrees) {
-  // Randomly shaped task trees with no taskwaits at all: the region-end
-  // barrier alone must join everything, every time.
-  rt::Scheduler sched(rt::SchedulerConfig{.num_threads = 8});
-  core::Xoshiro256 rng(99);
-  for (int round = 0; round < 30; ++round) {
-    std::atomic<std::uint64_t> executed{0};
-    const int breadth = 1 + static_cast<int>(rng.next_below(40));
-    const int depth = 1 + static_cast<int>(rng.next_below(5));
-    std::function<void(int)> grow = [&](int d) {
-      executed.fetch_add(1, std::memory_order_relaxed);
-      if (d == 0) return;
-      for (int i = 0; i < breadth; ++i) {
-        rt::spawn(i % 2 == 0 ? rt::Tiedness::tied : rt::Tiedness::untied,
-                  [&grow, d] { grow(d - 1); });
+  // Randomly shaped task trees with no taskwaits at all: the barrier alone
+  // must join everything, every time. It opens once every implicit task's
+  // state word reads exclusive.
+  {
+    rt::Scheduler sched(rt::SchedulerConfig{.num_threads = 8});
+    core::Xoshiro256 rng(99);
+    for (int round = 0; round < 30; ++round) {
+      std::atomic<std::uint64_t> executed{0};
+      const int breadth = 1 + static_cast<int>(rng.next_below(40));
+      const int depth = 1 + static_cast<int>(rng.next_below(5));
+      std::function<void(int)> grow = [&](int d) {
+        executed.fetch_add(1, std::memory_order_relaxed);
+        if (d == 0) return;
+        for (int i = 0; i < breadth; ++i) {
+          rt::spawn(i % 2 == 0 ? rt::Tiedness::tied : rt::Tiedness::untied,
+                    [&grow, d] { grow(d - 1); });
+        }
+        // deliberately no taskwait
+      };
+      sched.run_single([&] { grow(depth); });
+      // Full (breadth)-ary tree of the given depth.
+      std::uint64_t expect = 0;
+      std::uint64_t layer = 1;
+      for (int d = 0; d <= depth; ++d) {
+        expect += layer;
+        layer *= static_cast<std::uint64_t>(breadth);
       }
-      // deliberately no taskwait
-    };
-    sched.run_single([&] { grow(depth); });
-    // Full (breadth)-ary tree of the given depth.
-    std::uint64_t expect = 0;
-    std::uint64_t layer = 1;
-    for (int d = 0; d <= depth; ++d) {
-      expect += layer;
-      layer *= static_cast<std::uint64_t>(breadth);
+      ASSERT_EQ(executed.load(), expect)
+          << "round " << round << " breadth " << breadth << " depth " << depth;
     }
-    ASSERT_EQ(executed.load(), expect)
-        << "round " << round << " breadth " << breadth << " depth " << depth;
+  }
+  // The same shapes, smaller, under a cut-off that counts live tasks
+  // (max_tasks) and one that counts none, on both synthetic topologies:
+  // a single generator, every worker growing a tree and checking it at a
+  // mid-region barrier, and a region cancelled halfway, whose discards
+  // must retire through the same barrier. Trees stay under ~23k nodes per
+  // generator so the whole matrix stays cheap enough to loop.
+  constexpr unsigned kWorkers = 4;
+  for (const rt::CutoffPolicy cutoff :
+       {rt::CutoffPolicy::none, rt::CutoffPolicy::max_tasks}) {
+    for (const char* topo : {"1x4", "2x2"}) {
+      rt::SchedulerConfig cfg;
+      cfg.num_threads = kWorkers;
+      cfg.synthetic_topology = topo;
+      cfg.cutoff = cutoff;
+      cfg.use_task_pool = true;
+      cfg.use_node_pools = true;
+      cfg.fault_plan.clear();  // exact counts, pool ledgers and the full team
+      rt::Scheduler sched(cfg);
+      ASSERT_EQ(sched.num_workers(), kWorkers) << topo;
+      const std::string config =
+          std::string(topo) +
+          (cutoff == rt::CutoffPolicy::none ? " none" : " max_tasks");
+      const auto balanced = [&sched](const std::string& what) {
+        const auto t = sched.stats().total;
+        ASSERT_EQ(t.tasks_executed + t.tasks_discarded, t.tasks_deferred)
+            << what;
+        ASSERT_EQ(t.pool_home_frees + t.pool_remote_frees,
+                  t.pool_reuse + t.pool_fresh)
+            << what;
+        for (const auto& n : sched.node_pool_snapshot()) {
+          ASSERT_EQ(n.in_transit, 0u) << what;
+          ASSERT_EQ(n.cached + n.arena_free, n.arena_carved) << what;
+        }
+      };
+      core::Xoshiro256 rng(99);
+      for (int round = 0; round < 30; ++round) {
+        const int breadth = 1 + static_cast<int>(rng.next_below(12));
+        const int depth = 1 + static_cast<int>(rng.next_below(4));
+        const std::string what = config + " round " + std::to_string(round) +
+                                 " breadth " + std::to_string(breadth) +
+                                 " depth " + std::to_string(depth);
+        // Full (breadth)-ary tree of the given depth.
+        std::uint64_t expect = 0;
+        std::uint64_t layer = 1;
+        for (int d = 0; d <= depth; ++d) {
+          expect += layer;
+          layer *= static_cast<std::uint64_t>(breadth);
+        }
+        std::atomic<std::uint64_t> executed{0};
+        std::uint64_t cancel_at = 0;  // 0 = never
+        std::function<void(int)> grow = [&](int d) {
+          const std::uint64_t n =
+              executed.fetch_add(1, std::memory_order_relaxed) + 1;
+          if (n == cancel_at) rt::cancel_region();
+          if (d == 0) return;
+          for (int i = 0; i < breadth; ++i) {
+            rt::spawn(i % 2 == 0 ? rt::Tiedness::tied : rt::Tiedness::untied,
+                      [&grow, d] { grow(d - 1); });
+          }
+          // deliberately no taskwait
+        };
+
+        sched.run_single([&] { grow(depth); });
+        ASSERT_EQ(executed.load(), expect) << what << " single";
+        balanced(what + " single");
+
+        executed.store(0);
+        std::atomic<int> short_phases{0};
+        sched.run_all([&](unsigned) {
+          for (std::uint64_t phase = 1; phase <= 2; ++phase) {
+            grow(depth);
+            rt::barrier();
+            if (executed.load() != phase * kWorkers * expect) {
+              short_phases.fetch_add(1);
+            }
+            rt::barrier();  // everyone checked before the next phase grows
+          }
+        });
+        ASSERT_EQ(short_phases.load(), 0) << what << " run_all";
+        ASSERT_EQ(executed.load(), 2 * kWorkers * expect) << what << " run_all";
+        balanced(what + " run_all");
+
+        executed.store(0);
+        cancel_at = expect / 2;
+        const rt::RegionResult res = sched.run_single(
+            [&] { grow(depth); }, std::chrono::milliseconds(0));
+        ASSERT_EQ(res.status, rt::RegionStatus::cancelled) << what;
+        ASSERT_LE(executed.load(), expect) << what << " cancelled";
+        balanced(what + " cancelled");
+      }
+    }
   }
 }
 

@@ -143,13 +143,16 @@ INSTANTIATE_TEST_SUITE_P(Threads, SchedulerThreads,
 // ---------------------------------------------------------------------------
 
 TEST_P(SchedulerThreads, QuiescenceWithBatchedAccountingDeltas) {
-  // The flush threshold is far larger than the task count, so the region can
-  // only end correctly if every worker's delta is flushed at the barrier —
-  // an unflushed increment would let the quiescence check miss live tasks,
-  // an unflushed decrement would hang the region (caught by the timeout).
+  // Batched deltas exist only under a counting cut-off; its bound is far
+  // above the task count, so every spawn still defers. The flush threshold
+  // is far larger than the task count too, so deltas sit unflushed for the
+  // whole region: the barrier, which reads the task tree and not the
+  // counter, must still join everything and never hang on them (caught by
+  // the timeout).
   rt::SchedulerConfig cfg;
   cfg.num_threads = GetParam();
-  cfg.cutoff = rt::CutoffPolicy::none;
+  cfg.cutoff = rt::CutoffPolicy::max_tasks;
+  cfg.cutoff_value = 1u << 30;
   cfg.batch_accounting = true;
   cfg.accounting_batch = 1u << 20;
   rt::Scheduler s(cfg);
@@ -169,11 +172,13 @@ TEST_P(SchedulerThreads, QuiescenceWithBatchedAccountingDeltas) {
 }
 
 TEST_P(SchedulerThreads, QuiescenceWithBatchedAccountingAcrossPhases) {
-  // Mid-region barriers must also observe batched deltas: tasks spawned by
-  // tasks executed inside the barrier drain flush eagerly.
+  // Mid-region barriers too, under a counting cut-off whose bound defers
+  // every spawn: tasks spawned by tasks executed inside the barrier drain
+  // must be joined however far the live-task estimate lags.
   rt::SchedulerConfig cfg;
   cfg.num_threads = GetParam();
-  cfg.cutoff = rt::CutoffPolicy::none;
+  cfg.cutoff = rt::CutoffPolicy::max_tasks;
+  cfg.cutoff_value = 1u << 30;
   cfg.accounting_batch = 1u << 20;
   rt::Scheduler s(cfg);
   std::atomic<int> phase1{0};
@@ -691,6 +696,30 @@ TEST(Cutoff, NoneDefersEverything) {
   EXPECT_EQ(st.total.tasks_cutoff_inlined, 0u);
   EXPECT_EQ(st.total.tasks_deferred, st.total.tasks_created);
   EXPECT_EQ(st.total.tasks_executed, st.total.tasks_deferred);
+}
+
+TEST(Cutoff, OnlyCountingCutoffsKeepLiveTaskAccounting) {
+  // The region barrier reads the task tree, not Region::live_tasks, so the
+  // live-task estimate is kept only where a cut-off reads it. A 4-worker
+  // single-generator fib under cut-off none flushes no accounting at all —
+  // not even from the workers draining at the barrier — while max_tasks
+  // still flushes its batched deltas.
+  const auto flushes_with = [](rt::CutoffPolicy cutoff) {
+    rt::SchedulerConfig cfg;
+    cfg.num_threads = 4;
+    cfg.cutoff = cutoff;
+    cfg.fault_plan.clear();  // the full team
+    rt::Scheduler s(cfg);
+    EXPECT_EQ(s.num_workers(), 4u);
+    std::uint64_t r = 0;
+    s.run_single([&] { r = fib_task(18, rt::Tiedness::tied); });
+    EXPECT_EQ(r, fib_ref(18));
+    const auto t = s.stats().total;
+    EXPECT_GT(t.tasks_deferred, 0u);
+    return t.acct_flushes;
+  };
+  EXPECT_EQ(flushes_with(rt::CutoffPolicy::none), 0u);
+  EXPECT_GT(flushes_with(rt::CutoffPolicy::max_tasks), 0u);
 }
 
 TEST(Cutoff, MaxDepthInlinesBelowDepth) {
