@@ -139,30 +139,19 @@ class RegionCtx {
   // Mirrors the PR 6 region-wide invariant at request granularity: every
   // task deferred under this context is eventually dispatched exactly once,
   // as an execute or a discard, so after the request drains
-  // executed + discarded == deferred.
+  // executed + discarded == deferred. The ledger counts; it does not join —
+  // the request ends when its frame reads exclusive (Scheduler::run_scope),
+  // and every ledger update of a task precedes its finish RMW on the frame's
+  // reference chain, so the ledger is final by then.
 
   void note_deferred() noexcept {
     deferred_.fetch_add(1, std::memory_order_relaxed);
-    live_.fetch_add(1, std::memory_order_relaxed);
   }
   /// Bulk variant for graph replay: a frozen graph's node count is known up
-  /// front, so one pair of RMWs accounts the whole replayed population
-  /// before any root is enqueued (the ledger can only ever overcount live,
-  /// never open early).
+  /// front, so one RMW accounts the whole replayed population before any
+  /// root is enqueued.
   void note_deferred_bulk(std::uint64_t n) noexcept {
     deferred_.fetch_add(n, std::memory_order_relaxed);
-    live_.fetch_add(n, std::memory_order_relaxed);
-  }
-  /// One deferred task of this request fully retired (executed or
-  /// discarded, descriptor gone). live() == 0 with the root frame's direct
-  /// children joined means the request's whole subtree is quiescent: an
-  /// in-flight descendant either still holds its own live count or is
-  /// executing synchronously inside one that does.
-  void note_finished() noexcept {
-    live_.fetch_sub(1, std::memory_order_release);
-  }
-  [[nodiscard]] std::uint64_t live() const noexcept {
-    return live_.load(std::memory_order_acquire);
   }
   void note_executed() noexcept {
     executed_.fetch_add(1, std::memory_order_relaxed);
@@ -255,7 +244,6 @@ class RegionCtx {
   std::atomic<std::uint8_t> terminal_{
       static_cast<std::uint8_t>(RequestStatus::pending)};
   std::atomic<std::uint64_t> deferred_{0};
-  std::atomic<std::uint64_t> live_{0};
   std::atomic<std::uint64_t> executed_{0};
   std::atomic<std::uint64_t> discarded_{0};
   std::atomic<std::uint64_t> progress_{0};

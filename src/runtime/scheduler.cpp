@@ -254,17 +254,22 @@ RegionStatus Scheduler::run_region(Region& r, std::chrono::milliseconds deadline
   Worker* inside = detail::tls_worker;
   if (inside != nullptr) {
     // Nested region: serialize with a team of one (the OpenMP default of
-    // disabled nested parallelism). The body runs as an undeferred task and
-    // its direct children are joined before returning.
+    // disabled nested parallelism). The body runs on a tied frame of its own
+    // and every task created inside it, at any depth, has finished before
+    // run_* returns — the region guarantee, one team member wide.
     if (inside->sched != this) {
       throw std::logic_error(
           "bots::rt: a worker of one Scheduler entered a region of another");
     }
-    if (r.all_fn != nullptr) {
-      run_inline_scope(*inside, [&r] { (*r.all_fn)(0); });
-    } else if (r.single_fn != nullptr) {
-      run_inline_scope(*inside, *r.single_fn);
-    }
+    const std::exception_ptr eptr =
+        run_scope(*inside, Tiedness::tied, nullptr, [&r] {
+          if (r.all_fn != nullptr) {
+            (*r.all_fn)(0);
+          } else if (r.single_fn != nullptr) {
+            (*r.single_fn)();
+          }
+        });
+    if (eptr) std::rethrow_exception(eptr);
     return RegionStatus::completed;
   }
 
@@ -355,81 +360,21 @@ void Scheduler::run_ctx_root(RegionCtx& ctx, const std::function<void()>& body) 
   if (ctx.cancelled()) return;
   flush_fold(w);  // a request body can run long: pay owed announcements now
   trace_record(w.ring, TraceEvent::request_start, ctx.id());
-  TaskStorage storage{};
-  Task* frame = alloc_task(w, storage);
-  if (frame == nullptr) {
-    // Degradation ladder bottom: run the request body inline on this frame.
-    // Children adopt `current` (the worker's implicit root, null ctx) — the
-    // request loses per-request cancel granularity for them but execution
-    // stays correct, and the taskwait below conservatively joins every
-    // child adopted by the root so far.
-    ++w.stats.tasks_degraded_inline;
-    ++w.inline_depth;
+  // The frame hangs under this worker's implicit task, so the region
+  // barrier also covers a request still in flight when the resident
+  // region's workers reach their final barrier. UNTIED: while this worker
+  // waits in the request's join it may claim any other request's tasks — no
+  // cross-request convoying through the TSC. Fault isolation: the request's
+  // exception cancels the request, never the resident region, and is
+  // retrievable via its handle. Not rethrown — the caller is the server
+  // worker loop, which must keep serving.
+  (void)run_scope(w, Tiedness::untied, &ctx, [&] {
     try {
       body();
     } catch (...) {
       ctx.store_exception();
     }
-    --w.inline_depth;
-    taskwait_from(w);
-    trace_record(w.ring, TraceEvent::request_end, ctx.id());
-    return;
-  }
-  frame->init_env([] {});  // root frames carry no environment of their own
-  Task* parent = w.current;
-  const std::uint32_t depth =
-      (parent != nullptr ? parent->depth() + 1 : 1) + w.inline_depth;
-  // The frame hangs under this worker's implicit task (w.current), so the
-  // region barrier's root test also covers a request still in flight when
-  // the resident region's workers reach their final barrier.
-  if (parent != nullptr) parent->add_child_ref();
-  // UNTIED: while this worker waits in the request's join it may claim any
-  // other request's tasks — no cross-request convoying through the TSC.
-  frame->set_links(parent, depth, Tiedness::untied, storage);
-  // The root of the request: set_links copied the parent's (null) ctx, so
-  // plant it here; every descendant inherits it through its own set_links.
-  frame->set_ctx(&ctx);
-
-  Task* prev = w.current;
-  const std::uint32_t prev_inline = w.inline_depth;
-  const SpawnCharge prev_charge = w.charge;
-  w.charge = {};
-  w.inline_depth = 0;  // the frame's depth already accounts for inline frames
-  w.current = frame;
-  try {
-    body();
-  } catch (...) {
-    // Fault isolation: the request's exception cancels the request, never
-    // the resident region, and is retrievable via its handle. Not rethrown —
-    // the caller is the server worker loop, which must keep serving.
-    ctx.store_exception();
-  }
-  settle_charge(w);  // the frame's unused slots, before its child count
-  // Join the WHOLE request subtree, not just direct children: a child's
-  // completion announces to the frame before the child's own deferred
-  // descendants finish, so the frame's child count alone is not quiescence.
-  // ctx.live() is: every deferred descendant holds a live count from
-  // enqueue to retirement, and undeferred ones execute synchronously inside
-  // one that does. The worker helps (any request's work) while it waits.
-  Backoff backoff;
-  for (;;) {
-    if (w.fold_parent == frame) flush_fold(w);
-    if (frame->unfinished_children() == 0 && ctx.live() == 0) break;
-    if (Task* t = find_work(w)) {
-      execute_deferred(w, *t);
-      backoff.reset();
-    } else {
-      flush_accounting(w);
-      backoff.pause();
-    }
-  }
-  frame->destroy_env();
-  w.current = prev;
-  w.charge = prev_charge;
-  w.inline_depth = prev_inline;
-  Task* frame_parent = frame->parent();
-  if (frame_parent != nullptr) frame_parent->child_completed();
-  release_chain(w, frame);
+  });
   trace_record(w.ring, TraceEvent::request_end, ctx.id());
 }
 
@@ -931,7 +876,7 @@ void Scheduler::execute_deferred(Worker& w, Task& t) {
   // descriptor, so the count must not leak into depths computed under it
   // (a scheduling point inside an inline body claims unrelated tasks).
   const std::uint32_t prev_inline = w.inline_depth;
-  // Every caller is a settle point (taskwait, barrier, request join,
+  // Every caller is a settle point (taskwait, barrier, scope join,
   // help_one), so `prev` holds no spawn slots that t could be charged for.
   assert(w.charge.slots == 0 && w.charge.spawns == 0);
   w.inline_depth = 0;
@@ -1027,7 +972,6 @@ void Scheduler::finish_task(Worker& w, Task& t, bool deferred) {
   if (t.dep() != nullptr) release_successors(w, t);
   Task* parent = t.parent();
   Region* region = w.region;
-  RegionCtx* ctx = t.ctx();  // captured before dispose can recycle t
   // Order matters. (1) The completion announcement (the parent's
   // unfinished-children decrement) must never be preceded by dropping this
   // task's self-reference: t's reference on the parent is released only when
@@ -1043,14 +987,23 @@ void Scheduler::finish_task(Worker& w, Task& t, bool deferred) {
   // no window exists at all. Exclusivity is stable here because refs and
   // children are only ever added by t's own executor, and t's body has
   // finished. (2) Every path ends in an RMW on the parent chain, so the
-  // last RMW on an implicit root — the one that makes it exclusive and
-  // lets the region barrier open — comes after every disposal below it.
-  // Nothing here touches the root after that RMW: child_completed_and_
-  // release returns false for a root (its own reference remains) and
-  // release_chain stops there, so the frame may leave the stack at once.
-  // What follows touches only the Region, which outlives every worker's
-  // region_done_ arrival, and the request context, whose join waits for
-  // the note_finished below.
+  // last RMW on a scope's frame — an implicit root, a nested region's frame
+  // or a request's frame — the one that makes it exclusive and ends the
+  // scope, comes after every disposal below it. Nothing here touches the
+  // frame after that RMW: child_completed_and_release returns false for a
+  // frame (its own reference remains) and release_chain stops there, so
+  // the frame may leave the stack at once. What follows touches only the
+  // Region, which outlives every worker's region_done_ arrival; never the
+  // task's RegionCtx, which may die as soon as its frame is exclusive.
+  // The scope-end test is exact because every task hangs by a reference
+  // chain from the frame of every scope it was created in:
+  //   - set_links links a spawn under w.current and copies its ctx, so
+  //     every task whose ctx is C hangs under C's request frame;
+  //   - a split-off range half links under its splitter's parent;
+  //   - a replay re-arms its nodes under the replaying task, and a
+  //     dependent task links under w.current like any spawn;
+  //   - an owed replay fold (fold_completion) keeps its parent, and so
+  //     every frame above it, non-exclusive until the fold is paid.
   if (cfg_.fused_finish && t.exclusive()) {
     // Exclusive: no child or release chain can reach t anymore, so t dies
     // without an RMW and both halves of the parent update — the
@@ -1082,19 +1035,13 @@ void Scheduler::finish_task(Worker& w, Task& t, bool deferred) {
     if (parent != nullptr) parent->child_completed();
     release_chain(w, &t);
   }
-  if (deferred && region != nullptr) {
-    if (!count_live_) {
-      // No cut-off reads the estimate: nothing to count.
-    } else if (cfg_.batch_accounting) {
-      --w.live_delta;
-      if (++w.acct_ops >= acct_batch_) flush_accounting(w);
-    } else {
-      region->live_tasks.fetch_sub(1, std::memory_order_release);
-    }
-    // The request-scoped live count is deliberately UNBATCHED: run_ctx_root's
-    // join spins on it, and its contention domain is one request's subtree,
-    // not the whole team.
-    if (ctx != nullptr) ctx->note_finished();
+  // Only the counting cut-offs read the live-task estimate.
+  if (!deferred || region == nullptr || !count_live_) return;
+  if (cfg_.batch_accounting) {
+    --w.live_delta;
+    if (++w.acct_ops >= acct_batch_) flush_accounting(w);
+  } else {
+    region->live_tasks.fetch_sub(1, std::memory_order_release);
   }
 }
 
@@ -1129,6 +1076,20 @@ void Scheduler::release_chain(Worker& w, Task* t) noexcept {
   }
 }
 
+template <class Done>
+void Scheduler::help_until(Worker& w, Done done) {
+  Backoff backoff;
+  while (!done()) {
+    if (Task* t = find_work(w)) {
+      execute_deferred(w, *t);
+      backoff.reset();
+    } else {
+      flush_accounting(w);
+      backoff.pause();
+    }
+  }
+}
+
 void Scheduler::taskwait_from(Worker& w) {
   ++w.stats.taskwaits;
   Task* cur = w.current;
@@ -1138,44 +1099,29 @@ void Scheduler::taskwait_from(Worker& w) {
   settle_charge(w);
   flush_fold(w);
   if (cur->unfinished_children() == 0) return;
-  // The wait reads the exact per-parent unfinished_children counter. The
-  // idle path below still flushes: folds owed to another task's join, and
-  // under the counting cut-offs the live-task delta the cut-off reads.
+  // The wait reads the exact per-parent unfinished_children counter.
   const bool constrains = cur->tiedness() == Tiedness::tied;
-  if (constrains) {
-    // Extend the verified ancestor-chain prefix when possible. The claim's
-    // tsc_allows does not cover this: cur may have been inlined
-    // (run_undeferred) under an untied task and never TSC-checked, so the
-    // descent from the previous top must be established here — one ancestry
-    // walk per suspension, amortized over every claim it later speeds up.
-    if (w.tied_chain == w.tied_stack.size() &&
-        (w.tied_stack.empty() || cur->is_descendant_of(*w.tied_stack.back()))) {
-      ++w.tied_chain;
-    }
-    w.tied_stack.push_back(cur);
-    w.parked_recheck = true;
-  }
-  Backoff backoff;
-  for (;;) {
+  if (constrains) w.push_tied(cur);
+  help_until(w, [this, &w, cur] {
     // A waiter pays its own fold before reading: replayed nodes it retired
     // itself are cur's children too.
     if (w.fold_parent == cur) flush_fold(w);
-    if (cur->unfinished_children() == 0) break;
-    if (Task* t = find_work(w)) {
-      execute_deferred(w, *t);
-      backoff.reset();
-    } else {
-      flush_accounting(w);
-      backoff.pause();
-    }
-  }
-  if (constrains) {
-    w.tied_stack.pop_back();
-    if (w.tied_chain > w.tied_stack.size()) {
-      w.tied_chain = w.tied_stack.size();
-    }
-    w.parked_recheck = true;  // the constraint relaxed: parked may be eligible
-  }
+    return cur->unfinished_children() == 0;
+  });
+  if (constrains) w.pop_tied();
+}
+
+void Scheduler::join_subtree(Worker& w) {
+  Task* frame = w.current;
+  // Settle point of the frame, as at a taskwait. After this nothing adds to
+  // the frame: its body has ended, and every other charger already holds a
+  // reference chain up to it — so an exclusive() reading is final.
+  settle_charge(w);
+  flush_fold(w);
+  const bool constrains = frame->tiedness() == Tiedness::tied;
+  if (constrains) w.push_tied(frame);
+  help_until(w, [frame] { return frame->exclusive(); });
+  if (constrains) w.pop_tied();
 }
 
 void Scheduler::barrier_from(Worker& w) {
@@ -1202,88 +1148,57 @@ void Scheduler::barrier_from(Worker& w) {
   // The arrival RMW releases this worker's roots_ entry (stored in
   // participate) and its root's settle; the last arriver's RMW acquires all.
   const std::uint32_t n = r.arrived.fetch_add(1, std::memory_order_acq_rel) + 1;
-  Backoff backoff;
   if (n == r.team_size) {
     // Last arriver: drain every outstanding task, then release the team.
     // Roots below `open` already read exclusive, which is final.
     unsigned open = 0;
-    const auto tree_empty = [&]() noexcept {
+    help_until(w, [&] {
       while (open < r.team_size && roots_[open]->exclusive()) ++open;
       return open == r.team_size;
-    };
-    while (!tree_empty()) {
-      if (Task* t = find_work(w)) {
-        execute_deferred(w, *t);
-        backoff.reset();
-      } else {
-        flush_accounting(w);
-        backoff.pause();
-      }
-    }
+    });
     r.arrived.store(0, std::memory_order_relaxed);
     r.barrier_gen.fetch_add(1, std::memory_order_release);
   } else {
-    while (r.barrier_gen.load(std::memory_order_acquire) == gen) {
-      if (Task* t = find_work(w)) {
-        execute_deferred(w, *t);
-        backoff.reset();
-      } else {
-        flush_accounting(w);
-        backoff.pause();
-      }
-    }
+    help_until(w, [&r, gen] {
+      return r.barrier_gen.load(std::memory_order_acquire) != gen;
+    });
   }
   w.barrier_draining = false;
 }
 
-void Scheduler::run_inline_scope(Worker& w, const std::function<void()>& body) {
-  TaskStorage storage{};
-  Task* frame = alloc_task(w, storage);
-  if (frame == nullptr) {
-    // Descriptor-less nested region (degradation ladder bottom): run the
-    // body on this frame; the children it spawns attach to the adopting
-    // ancestor, so the taskwait below joins a superset of them.
-    ++w.stats.tasks_degraded_inline;
-    ++w.inline_depth;
-    std::exception_ptr eptr;
-    try {
-      body();
-    } catch (...) {
-      eptr = std::current_exception();
-    }
-    --w.inline_depth;
-    taskwait_from(w);
-    if (eptr) std::rethrow_exception(eptr);
-    return;
-  }
-  frame->init_env([] {});  // scope frames carry no environment of their own
+std::exception_ptr Scheduler::run_scope(Worker& w, Tiedness tied,
+                                        RegionCtx* ctx,
+                                        const std::function<void()>& body) {
+  // The scope's frame lives on this stack, like an implicit root: it leaves
+  // only after join_subtree read it exclusive, and after the RMW that made
+  // it so no worker touches it (finish_task's ordering note (2)).
+  Task frame;
   Task* parent = w.current;
   const std::uint32_t depth =
       (parent != nullptr ? parent->depth() + 1 : 1) + w.inline_depth;
   if (parent != nullptr) parent->add_child_ref();
-  frame->set_links(parent, depth, Tiedness::tied, storage);
-
-  Task* prev = w.current;
+  frame.set_links(parent, depth, tied, TaskStorage::stack_frame);
+  // A request's root: set_links copied the parent's ctx, so plant the
+  // request's here; every descendant inherits it through its own set_links.
+  if (ctx != nullptr) frame.set_ctx(ctx);
   const std::uint32_t prev_inline = w.inline_depth;
   const SpawnCharge prev_charge = w.charge;
   w.charge = {};
   w.inline_depth = 0;  // the frame's depth already accounts for inline frames
-  w.current = frame;
+  w.current = &frame;
   std::exception_ptr eptr;
   try {
     body();
   } catch (...) {
     eptr = std::current_exception();
   }
-  taskwait_from(w);  // join the nested region's direct children (settles)
-  frame->destroy_env();
-  w.current = prev;
+  join_subtree(w);
+  w.current = parent;
   w.charge = prev_charge;
   w.inline_depth = prev_inline;
-  Task* frame_parent = frame->parent();
-  if (frame_parent != nullptr) frame_parent->child_completed();
-  release_chain(w, frame);
-  if (eptr) std::rethrow_exception(eptr);
+  if (parent != nullptr) parent->child_completed();
+  release_chain(w, &frame);
+  return eptr;
 }
 
 void Scheduler::park_refused(Worker& w, Task* t) {

@@ -22,7 +22,9 @@
 //   the constraint are parked worker-locally and re-offered later.
 // * Regions end with a quiescence barrier: every explicit task created in
 //   the region has completed when run_* returns (the OpenMP guarantee that
-//   barriers complete all outstanding explicit tasks).
+//   barriers complete all outstanding explicit tasks). A nested region and
+//   a TaskServer request end the same way: when run_* or run_ctx_root
+//   returns, every task created inside them, at any depth, has completed.
 //
 // Fast-path design (the BOTS overhead knobs this repo exists to measure)
 // ----------------------------------------------------------------------
@@ -35,7 +37,13 @@
 //   reference but its own. The test is exact, and stable: only a root's own
 //   implicit task adds to an exclusive root (any other charger already holds
 //   a reference on it), and after arrival that task runs no body of its own.
-//   taskwait waits on the same per-parent words, one level down.
+//   Nested regions and server requests end by the same rule on a frame of
+//   their own (Scheduler::run_scope): the scope's body runs on a stack frame
+//   linked under w.current, and the scope ends when that frame reads
+//   exclusive() — stable for the same reason, since only the body charges
+//   the frame directly. Every wait — taskwait, barrier, scope join — helps
+//   through one idle loop (Scheduler::help_until). taskwait waits on the
+//   same per-parent words, one level down.
 // * Live-task estimate only where a cut-off reads it: Region::live_tasks
 //   is an input of the counting cut-offs (max_tasks, adaptive) and of
 //   nothing else, so under none and max_depth spawn, finish and replay do
@@ -74,7 +82,7 @@
 //   The scheduler core only executes decisions.
 // * Generator-side cache lines: a task that keeps spawning pre-charges its
 //   own state word with SpawnCharge::batch child slots in one RMW instead of
-//   one RMW per spawn (settled at every taskwait, barrier, request join and
+//   one RMW per spawn (settled at every taskwait, barrier, scope join and
 //   body end), and the deque's push checks fullness against an
 //   owner-private copy of `top`. Thieves RMW both lines on every steal and
 //   finish, so per-spawn accesses to them were per-spawn cache misses.
@@ -332,7 +340,7 @@ struct PolicySnapshot {
 /// which every thief finishing one of its children RMWs too — once per
 /// batch instead of once per spawn. Unused slots go back (Task::
 /// return_slots) and the count resets at every settle point: taskwait,
-/// barrier, before a request root's join, and when the task's body ends.
+/// barrier, before a scope frame's join, and when the task's body ends.
 struct SpawnCharge {
   static constexpr std::uint32_t batch = 16;
   static constexpr std::uint32_t first_batched = 3;
@@ -382,16 +390,34 @@ class Worker {
   /// Descriptors currently parked across all of `returns` (drives the
   /// pool_migrations high-water stat).
   std::size_t stash_in_transit = 0;
-  std::vector<Task*> tied_stack;  ///< tied tasks suspended at taskwait
+  std::vector<Task*> tied_stack;  ///< tied tasks suspended at a wait
   /// Length of the leading tied_stack prefix verified to be an ancestor
   /// chain (each entry a descendant of the one below). While the whole
   /// stack is chained — the case for all-tied nested task graphs — the TSC
   /// check reduces to one ancestry walk against the deepest entry; untied
   /// or inlined tasks can push entries that break the chain, after which
   /// tsc_allows falls back to scanning every entry. Maintained by
-  /// taskwait_from and the zero-alloc inline path: one descent check per
-  /// push, capped on pop.
+  /// push_tied and pop_tied: one descent check per push, capped on pop.
   std::size_t tied_chain = 0;
+  /// Suspend tied task `t` at a scheduling point (a taskwait, a nested
+  /// region's join, an inlined tied body): claims must now descend from it.
+  /// The claim's tsc_allows does not prove `t` descends from the previous
+  /// top — `t` may have been inlined under an untied task and never
+  /// TSC-checked — so the chain prefix is extended only after one ancestry
+  /// walk here, amortized over every claim it later speeds up.
+  void push_tied(Task* t) {
+    if (tied_chain == tied_stack.size() &&
+        (tied_stack.empty() || t->is_descendant_of(*tied_stack.back()))) {
+      ++tied_chain;
+    }
+    tied_stack.push_back(t);
+    parked_recheck = true;
+  }
+  void pop_tied() noexcept {
+    tied_stack.pop_back();
+    if (tied_chain > tied_stack.size()) tied_chain = tied_stack.size();
+    parked_recheck = true;  // the constraint relaxed: parked may be eligible
+  }
   /// Number of zero-alloc inlined task bodies currently live on this
   /// worker's stack (SchedulerConfig::use_inline_fast_path). Such tasks
   /// have no descriptor, so Worker::current skips them; adding this to the
@@ -566,7 +592,9 @@ class Scheduler {
   /// per-request cancellation, ledgers and fault isolation. Exceptions from
   /// the body or any descendant are captured into `ctx` (cancelling it),
   /// never rethrown and never stored into the resident region. Returns when
-  /// the body and every descendant task have finished or been discarded.
+  /// the request's frame reads exclusive: the body and every descendant
+  /// task have finished or been discarded, and no worker touches `ctx` on
+  /// their behalf again, so the caller may finalize and release it.
   void run_ctx_root(RegionCtx& ctx, const std::function<void()>& body);
 
   /// Execute at most one ready task on the calling team worker (server
@@ -820,7 +848,16 @@ class Scheduler {
   void run_undeferred(Worker& w, Task& t);
   void taskwait_from(Worker& w);
   void barrier_from(Worker& w);
-  void run_inline_scope(Worker& w, const std::function<void()>& body);
+  /// Run `body` as a scope on a fresh frame linked under w.current — a
+  /// nested region (tied, no ctx) or a request root (untied, `ctx` planted
+  /// on the frame) — and return once the frame's whole subtree has
+  /// finished. Returns the body's exception instead of throwing it.
+  std::exception_ptr run_scope(Worker& w, Tiedness tied, RegionCtx* ctx,
+                               const std::function<void()>& body);
+  /// Scope-end join of w.current, a frame whose body has ended: settle,
+  /// pay the fold, suspend the frame if tied, help until it reads
+  /// exclusive() — no task created under it is left.
+  void join_subtree(Worker& w);
 
   // ---- internal API used by the dependence layer (dependency.hpp) ---------
   /// Routing half of enqueue for a dependence-released task: node-hint
@@ -891,6 +928,10 @@ class Scheduler {
   Task* find_work(Worker& w);
   Task* steal_work(Worker& w, bool& progress);
   void flush_accounting(Worker& w) noexcept;
+  /// The idle loop of every wait: run a claimed task, or flush this
+  /// worker's accounting and back off, until `done()` holds.
+  template <class Done>
+  void help_until(Worker& w, Done done);
   void park_refused(Worker& w, Task* t);
   Task* claim_parked(Worker& w);
   [[nodiscard]] bool tsc_allows(const Worker& w, const Task& t) const noexcept;
@@ -1046,7 +1087,7 @@ namespace detail {
 ///   `current` represents the constraint exactly as precisely as the graph
 ///   can: descendants-of-current is the tightest representable superset of
 ///   descendants-of-the-inlined-task. The push maintains the PR-1 verified
-///   tied_chain prefix the same way taskwait_from does; a duplicate of the
+///   tied_chain prefix through Worker::push_tied; a duplicate of the
 ///   current back() entry adds no constraint and is skipped, which makes
 ///   deep inline recursion — the cut-off hot case — cost one compare.
 ///
@@ -1078,28 +1119,14 @@ void run_inline_fast(Worker& w, Tiedness tied, F&& f) {
   // statistics do not undercount under heavy inlining (sizeof the closure
   // is exactly what init_env would have recorded for a deferred twin).
   w.stats.env_bytes += static_cast<std::uint64_t>(sizeof(std::decay_t<F>));
-  const bool push_tied =
+  const bool pushed =
       tied == Tiedness::tied &&
       (w.tied_stack.empty() || w.tied_stack.back() != w.current);
-  if (push_tied) {
-    if (w.tied_chain == w.tied_stack.size() &&
-        (w.tied_stack.empty() ||
-         w.current->is_descendant_of(*w.tied_stack.back()))) {
-      ++w.tied_chain;
-    }
-    w.tied_stack.push_back(w.current);
-    w.parked_recheck = true;
-  }
+  if (pushed) w.push_tied(w.current);
   ++w.inline_depth;
-  const auto unwind = [&w, push_tied]() noexcept {
+  const auto unwind = [&w, pushed]() noexcept {
     --w.inline_depth;
-    if (push_tied) {
-      w.tied_stack.pop_back();
-      if (w.tied_chain > w.tied_stack.size()) {
-        w.tied_chain = w.tied_stack.size();
-      }
-      w.parked_recheck = true;  // the constraint relaxed: parked may be eligible
-    }
+    if (pushed) w.pop_tied();
   };
   try {
     std::forward<F>(f)();

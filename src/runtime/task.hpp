@@ -34,7 +34,7 @@ struct DepNode;   // dependence-tracking side structure (dependency.hpp)
 /// Where a task descriptor's storage came from, which decides how it is
 /// released when the last reference drops.
 enum class TaskStorage : std::uint8_t {
-  stack_frame,  ///< implicit/root task living on a worker's stack; never freed
+  stack_frame,  ///< implicit root or scope frame on a worker stack; not freed
   pooled,       ///< carved by a worker's TaskPool; freed back to a pool
   heap,         ///< plain new/delete (use_task_pool = false)
   graph         ///< owned by a frozen TaskGraph; re-armed on release
@@ -140,9 +140,9 @@ class Task {
   }
 
   /// Per-request server context this task's subtree belongs to; null in
-  /// ordinary (non-server) regions. Inherited from the parent by set_links;
-  /// set explicitly only on request root frames (Scheduler::run_ctx_root)
-  /// and on split-off range halves whose parent pointer may not carry it.
+  /// ordinary (non-server) regions. Inherited from the parent by set_links
+  /// (and by rearm, from the replaying task); set explicitly only on request
+  /// root frames (Scheduler::run_scope).
   [[nodiscard]] RegionCtx* ctx() const noexcept { return ctx_; }
   void set_ctx(RegionCtx* c) noexcept { ctx_ = c; }
 
@@ -156,7 +156,7 @@ class Task {
   // to later spawns without touching the word (Worker::charge). Unused
   // slots are phantom children: they are added, like every other child, by
   // this task's own executor only, and that executor returns them
-  // (return_slots) at every settle point — taskwait, barrier, the request
+  // (return_slots) at every settle point — taskwait, barrier, a scope's
   // join and the end of the task's body — before it reads the child count
   // or exclusive() can be read. Every invariant below therefore holds with
   // slots counted as children.

@@ -118,9 +118,8 @@ void TaskGraph::replay(Worker& w) {
   // the per-spawn parent-cacheline traffic a replay exists to avoid.
   parent->add_children_bulk(n);
   // Bulk spawn-side accounting, BEFORE any root is published: the creation
-  // invariant (created == deferred on this path), the request's live count
-  // (its join can only ever overcount in-flight work) and, under the
-  // counting cut-offs, the region's live-task estimate.
+  // invariant (created == deferred on this path), the request's ledger and,
+  // under the counting cut-offs, the region's live-task estimate.
   w.stats.tasks_created += n;
   w.stats.tasks_deferred += n;
   w.stats.env_bytes += env_bytes_;

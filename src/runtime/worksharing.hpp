@@ -14,6 +14,7 @@
 #pragma once
 
 #include <atomic>
+#include <cassert>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -249,10 +250,9 @@ struct RangeRunner {
     Task* parent = self->parent();
     if (parent != nullptr) parent->add_child_ref();
     t->set_links(parent, self->depth(), self->tiedness(), storage);
-    // A sibling inherits through the PARENT in set_links, but the request
-    // context belongs to the running range (the parent may be the ctx root's
-    // parent, outside the request): copy it from self explicitly.
-    t->set_ctx(self->ctx());
+    // set_links copied the parent's ctx, which is self's: a request frame
+    // never runs as a range task, so the half stays under its request's frame.
+    assert(t->ctx() == self->ctx());
     t->set_range(&t->env_as<RangeRunner<Body>>()->desc);
     s.publish_range_half(w, *t);
     return true;

@@ -68,10 +68,11 @@ TEST(Properties, RegionQuiescenceUnderRandomSpawnTrees) {
   }
   // The same shapes, smaller, under a cut-off that counts live tasks
   // (max_tasks) and one that counts none, on both synthetic topologies:
-  // a single generator, every worker growing a tree and checking it at a
-  // mid-region barrier, and a region cancelled halfway, whose discards
-  // must retire through the same barrier. Trees stay under ~23k nodes per
-  // generator so the whole matrix stays cheap enough to loop.
+  // a single generator, a nested region, every worker growing a tree and
+  // checking it at a mid-region barrier, a region cancelled halfway, whose
+  // discards must retire through the same barrier, and server requests —
+  // every one of these scopes ends by the same rule. Trees stay under ~23k
+  // nodes per generator so the whole matrix stays cheap enough to loop.
   constexpr unsigned kWorkers = 4;
   for (const rt::CutoffPolicy cutoff :
        {rt::CutoffPolicy::none, rt::CutoffPolicy::max_tasks}) {
@@ -132,6 +133,16 @@ TEST(Properties, RegionQuiescenceUnderRandomSpawnTrees) {
         ASSERT_EQ(executed.load(), expect) << what << " single";
         balanced(what + " single");
 
+        // A nested region joins its whole tree before it returns.
+        executed.store(0);
+        std::uint64_t nested = 0;
+        sched.run_single([&] {
+          sched.run_single([&] { grow(depth); });
+          nested = executed.load();
+        });
+        ASSERT_EQ(nested, expect) << what << " nested";
+        balanced(what + " nested");
+
         executed.store(0);
         std::atomic<int> short_phases{0};
         sched.run_all([&](unsigned) {
@@ -155,6 +166,29 @@ TEST(Properties, RegionQuiescenceUnderRandomSpawnTrees) {
         ASSERT_EQ(res.status, rt::RegionStatus::cancelled) << what;
         ASSERT_LE(executed.load(), expect) << what << " cancelled";
         balanced(what + " cancelled");
+
+        // The same tree as a TaskServer request: reported completed, it has
+        // run whole; cancelled halfway (cancel_region() cancels only the
+        // request), it stops early. Either way its ledger balances.
+        {
+          rt::TaskServer server(sched);
+          for (const std::uint64_t at : {std::uint64_t{0}, expect / 2}) {
+            executed.store(0);
+            cancel_at = at;
+            const rt::SubmitResult sub = server.submit([&] { grow(depth); });
+            ASSERT_TRUE(sub.admitted) << what;
+            const rt::RequestStatus st = sub.handle.wait();
+            if (at == 0) {
+              ASSERT_EQ(st, rt::RequestStatus::completed) << what;
+              ASSERT_EQ(executed.load(), expect) << what << " request";
+            } else {
+              ASSERT_EQ(st, rt::RequestStatus::cancelled) << what;
+              ASSERT_LE(executed.load(), expect) << what << " request";
+            }
+            ASSERT_TRUE(sub.handle.ledger_balanced()) << what << " request";
+          }
+        }
+        balanced(what + " request");
       }
     }
   }

@@ -1,6 +1,7 @@
 // Unit tests for the bots::rt task runtime: scheduler semantics, cut-off
 // policies, tiedness/TSC behaviour, worksharing, worker-local storage.
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <set>
 #include <stdexcept>
@@ -631,13 +632,24 @@ TEST(Scheduler, NestedRegionSerializesAsTeamOfOne) {
   rt::Scheduler s(rt::SchedulerConfig{.num_threads = 4});
   unsigned inner_team = 0;
   int inner_done = 0;
+  int grandchild_done = 0;
   s.run_single([&] {
     s.run_single([&] {
       inner_team = rt::team_size();
+      // This child returns without a taskwait while its own child still
+      // runs: the nested scope must join its whole subtree, not only the
+      // children of its body.
+      rt::spawn([&grandchild_done] {
+        rt::spawn([&grandchild_done] {
+          std::this_thread::sleep_for(std::chrono::milliseconds(2));
+          grandchild_done = 1;
+        });
+      });
       rt::spawn([&inner_done] { inner_done = 1; });
       // no explicit taskwait: the nested scope must join its children
     });
     EXPECT_EQ(inner_done, 1);
+    EXPECT_EQ(grandchild_done, 1);
   });
   // The nested region inherits the outer team's context but runs the body
   // serially on the calling worker.
