@@ -245,13 +245,14 @@ struct SchedulerConfig {
   /// false or the runtime cut-off refuses deferral, run the closure directly
   /// on the parent's frame with NO Task descriptor, no pool traffic and no
   /// refcount/children RMWs — only depth tracking (Worker::inline_depth) and
-  /// a tied-stack entry that keeps the Task Scheduling Constraint sound
-  /// across inlined tied tasks. The inlined task's children are adopted by
-  /// the nearest enclosing task with a descriptor, so a taskwait inside the
-  /// inlined body waits on a superset of its own children (never fewer). Off:
-  /// undeferred tasks still allocate a descriptor and join the task graph
-  /// (the seed behaviour the paper describes as bookkeeping the runtime
-  /// "still has to do ... to keep consistency").
+  /// a suspended tied top (Worker::tsc_top) that keeps the Task Scheduling
+  /// Constraint sound across inlined tied tasks. The inlined task's children
+  /// are adopted by the nearest enclosing task with a descriptor, so a
+  /// taskwait inside the inlined body waits on a superset of its own
+  /// children (never fewer). Off: undeferred tasks still allocate a
+  /// descriptor and join the task graph (the seed behaviour the paper
+  /// describes as bookkeeping the runtime "still has to do ... to keep
+  /// consistency").
   bool use_inline_fast_path = true;
 
   /// Splittable range tasks: spawn_range publishes ONE descriptor for a

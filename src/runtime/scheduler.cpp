@@ -362,11 +362,13 @@ void Scheduler::run_ctx_root(RegionCtx& ctx, const std::function<void()>& body) 
   trace_record(w.ring, TraceEvent::request_start, ctx.id());
   // The frame hangs under this worker's implicit task, so the region
   // barrier also covers a request still in flight when the resident
-  // region's workers reach their final barrier. UNTIED: while this worker
-  // waits in the request's join it may claim any other request's tasks — no
-  // cross-request convoying through the TSC. Fault isolation: the request's
-  // exception cancels the request, never the resident region, and is
-  // retrievable via its handle. Not rethrown — the caller is the server
+  // region's workers reach their final barrier. UNTIED, so the frame never
+  // becomes tsc_top: while this worker waits in the request's join it may
+  // claim any other request's tasks — no cross-request convoying through
+  // the TSC. A tied wait inside the request still limits this worker to
+  // that task's descendants, like any tied wait. Fault isolation: the
+  // request's exception cancels the request, never the resident region, and
+  // is retrievable via its handle. Not rethrown — the caller is the server
   // worker loop, which must keep serving.
   (void)run_scope(w, Tiedness::untied, &ctx, [&] {
     try {
@@ -505,9 +507,8 @@ void Scheduler::participate(Worker& w, Region& r) {
   w.barrier_draining = false;
   w.charge = {};
   assert(w.fold_count == 0 && "a folded completion outlived its region");
-  w.tied_chain = 0;
   w.inline_depth = 0;
-  assert(w.tied_stack.empty() && "a suspended tied task outlived its region");
+  assert(w.tsc_top == nullptr && "a suspended tied task outlived its region");
   w.last_victim = Worker::no_victim;
   w.gated_rounds = 0;
   w.slot = nullptr;
@@ -1101,14 +1102,14 @@ void Scheduler::taskwait_from(Worker& w) {
   if (cur->unfinished_children() == 0) return;
   // The wait reads the exact per-parent unfinished_children counter.
   const bool constrains = cur->tiedness() == Tiedness::tied;
-  if (constrains) w.push_tied(cur);
+  Task* const prev_top = constrains ? w.suspend_tied(cur) : nullptr;
   help_until(w, [this, &w, cur] {
     // A waiter pays its own fold before reading: replayed nodes it retired
     // itself are cur's children too.
     if (w.fold_parent == cur) flush_fold(w);
     return cur->unfinished_children() == 0;
   });
-  if (constrains) w.pop_tied();
+  if (constrains) w.resume_tied(prev_top);
 }
 
 void Scheduler::join_subtree(Worker& w) {
@@ -1119,9 +1120,9 @@ void Scheduler::join_subtree(Worker& w) {
   settle_charge(w);
   flush_fold(w);
   const bool constrains = frame->tiedness() == Tiedness::tied;
-  if (constrains) w.push_tied(frame);
+  Task* const prev_top = constrains ? w.suspend_tied(frame) : nullptr;
   help_until(w, [frame] { return frame->exclusive(); });
-  if (constrains) w.pop_tied();
+  if (constrains) w.resume_tied(prev_top);
 }
 
 void Scheduler::barrier_from(Worker& w) {
@@ -1319,7 +1320,7 @@ Task* Scheduler::steal_work(Worker& w, bool& progress) {
     // the parked pool, turning one refusal into a batch of them. The cap
     // per victim is the policy's call (hierarchical shrinks it across the
     // interconnect).
-    if (cfg_.steal_half && w.tied_stack.empty()) {
+    if (cfg_.steal_half && w.tsc_top == nullptr) {
       got = victim.steal_batch(batch, sp.policy->batch_cap(w, v, base_cap));
       if (got > 0) ++w.stats.steal_batches;
     } else if (Task* t = victim.steal()) {
@@ -1749,28 +1750,23 @@ std::vector<unsigned> Scheduler::plan_steal_order(unsigned worker) {
   return order;
 }
 
+// One rule for every claim, whatever the claimed task's tiedness: a worker
+// whose innermost suspended tied task is P may start only descendants of
+// P. Untied frames are never suspended on tsc_top — a wait inside one
+// constrains nothing — and the rule stays live:
+// * each worker's innermost waiting frame descends from its tsc_top (it
+//   was started under the rule, or it is tsc_top), so that worker may
+//   claim the frame's queued and parked descendants itself;
+// * every waits-for edge points to a task that started later: a frame
+//   waits for its descendants, and a buried frame waits for the frames
+//   above it on its worker;
+// * so waits cannot form a cycle, and following them from any waiting
+//   frame ends at a running task or at one its innermost waiter may claim.
+// Runtimes that can resume a suspended task elsewhere may exempt untied
+// tasks; this one cannot, so an untied task claimed on top of an unrelated
+// tied wait could strand its tied children on every worker.
 bool Scheduler::tsc_allows(const Worker& w, const Task& t) const noexcept {
-  if (t.tiedness() == Tiedness::untied) return true;
-  if (w.tied_stack.empty()) return true;
-  // Every suspended entry must be an ancestor. The stack is NOT inherently
-  // an ancestry chain — untied tasks are claimed without a TSC check, and a
-  // tied task inlined under one (cutoff / spawn_if) pushes a taskwait entry
-  // that need not descend from the entries below it — so a back()-only
-  // check alone would let that entry's descendants run despite violating
-  // the constraint for the earlier suspended tied tasks. taskwait_from
-  // therefore verifies descent at push time and tracks the chained prefix
-  // (Worker::tied_chain): while the whole stack is chained (all-tied nested
-  // graphs, the hot case — this check runs on every claim, a suspension
-  // only once), descent from the deepest entry implies descent from all by
-  // transitivity. Otherwise fall back to scanning every entry,
-  // deepest-first so mismatches fail on the most restrictive probe.
-  if (w.tied_chain == w.tied_stack.size()) {
-    return t.is_descendant_of(*w.tied_stack.back());
-  }
-  for (auto it = w.tied_stack.rbegin(); it != w.tied_stack.rend(); ++it) {
-    if (!t.is_descendant_of(**it)) return false;
-  }
-  return true;
+  return w.tsc_top == nullptr || t.is_descendant_of(*w.tsc_top);
 }
 
 StatsSnapshot Scheduler::stats() const {

@@ -16,10 +16,12 @@
 //   (through the cut-off), taskwait and barriers, where the waiting worker
 //   executes other ready tasks ("help first"). Suspended tasks never migrate,
 //   matching the icc 11.0 behaviour reported in Section IV-C of the paper.
-// * Tied tasks obey the Task Scheduling Constraint: at a taskwait inside a
-//   tied task, only descendants of every suspended tied task of this worker
-//   may begin execution. Untied tasks are unconstrained. Claims that fail
-//   the constraint are parked worker-locally and re-offered later.
+// * Every claim obeys the Task Scheduling Constraint: while a tied task is
+//   suspended at a wait on a worker, only its descendants may begin
+//   execution there — untied ones included, because a task started on top
+//   of a wait cannot move off it. A wait inside an untied task constrains
+//   nothing. Claims that fail the constraint are parked worker-locally and
+//   re-offered later.
 // * Regions end with a quiescence barrier: every explicit task created in
 //   the region has completed when run_* returns (the OpenMP guarantee that
 //   barriers complete all outstanding explicit tasks). A nested region and
@@ -62,7 +64,7 @@
 //   deque in one coherence transfer (deque.hpp explains why it is one CAS
 //   *per task* but one cacheline transfer per raid), returns one eligible
 //   task and keeps the surplus in a private stash consumed before the deque
-//   (constrained thieves — a non-empty tied stack — raid single tasks: a
+//   (constrained thieves — a suspended tied task — raid single tasks: a
 //   batch of non-descendants would land straight in the parked pool). A
 //   worker also remembers the last victim a steal succeeded from and tries
 //   it first (steals come in bursts from loaded workers).
@@ -91,11 +93,11 @@
 // * Zero-alloc undeferred execution: when spawn_if's condition is false or
 //   the cut-off refuses deferral, the closure runs directly on the parent's
 //   frame with no descriptor at all (detail::run_inline_fast): depth is
-//   tracked in Worker::inline_depth and an inlined tied task pushes its
-//   parent on the tied stack so the TSC stays enforced across it. Children
-//   spawned inside the body are adopted by the nearest descriptor-carrying
-//   ancestor, which makes every join conservative (a superset wait), never
-//   weaker. Knob: use_inline_fast_path.
+//   tracked in Worker::inline_depth, and an inlined tied task makes its
+//   parent the worker's tsc_top so the TSC stays enforced across it.
+//   Children spawned inside the body are adopted by the nearest
+//   descriptor-carrying ancestor, which makes every join conservative (a
+//   superset wait), never weaker. Knob: use_inline_fast_path.
 // * Range tasks: spawn_range (worksharing.hpp) publishes one descriptor per
 //   iteration range; the executor peels grain-sized chunks and splits the
 //   upper half into a sibling descriptor whenever its local queue is empty —
@@ -129,12 +131,11 @@
 //   while a drainer transiently holds it, and the drainer either executes it
 //   or immediately republishes it; every find_work round scans all inboxes,
 //   so any worker the constraint permits finds a parked task on its next
-//   idle round. A worker waiting at a taskwait inside tied task P can claim
-//   any pending descendant of P whenever every entry of its suspended stack
-//   is an ancestor of that descendant — true by construction for all-tied
-//   nested task graphs (each entry was TSC-checked against the ones below
-//   when claimed), where the waited-on subtree is therefore always claimable
-//   by the waiter itself, exactly as with the seed's global parking list.
+//   idle round. Every task a worker starts descends from its suspended tied
+//   top, so a worker waiting inside task P, tied or untied, may claim any
+//   pending descendant of P: the waited-on subtree is always claimable by
+//   the waiter itself, exactly as with the seed's global parking list
+//   (Scheduler::tsc_allows states why waits then cannot cycle).
 //
 // Exceptions: a DEFERRED task's exception is captured into the region and
 // the first one is rethrown to the caller of run_single/run_all after the
@@ -390,32 +391,24 @@ class Worker {
   /// Descriptors currently parked across all of `returns` (drives the
   /// pool_migrations high-water stat).
   std::size_t stash_in_transit = 0;
-  std::vector<Task*> tied_stack;  ///< tied tasks suspended at a wait
-  /// Length of the leading tied_stack prefix verified to be an ancestor
-  /// chain (each entry a descendant of the one below). While the whole
-  /// stack is chained — the case for all-tied nested task graphs — the TSC
-  /// check reduces to one ancestry walk against the deepest entry; untied
-  /// or inlined tasks can push entries that break the chain, after which
-  /// tsc_allows falls back to scanning every entry. Maintained by
-  /// push_tied and pop_tied: one descent check per push, capped on pop.
-  std::size_t tied_chain = 0;
-  /// Suspend tied task `t` at a scheduling point (a taskwait, a nested
-  /// region's join, an inlined tied body): claims must now descend from it.
-  /// The claim's tsc_allows does not prove `t` descends from the previous
-  /// top — `t` may have been inlined under an untied task and never
-  /// TSC-checked — so the chain prefix is extended only after one ancestry
-  /// walk here, amortized over every claim it later speeds up.
-  void push_tied(Task* t) {
-    if (tied_chain == tied_stack.size() &&
-        (tied_stack.empty() || t->is_descendant_of(*tied_stack.back()))) {
-      ++tied_chain;
-    }
-    tied_stack.push_back(t);
+  /// Innermost tied task suspended at a wait on this worker, or nullptr:
+  /// every claim must descend from it (Scheduler::tsc_allows). Every task
+  /// started here obeyed that rule, so the tied tasks suspended below it
+  /// are its ancestors and it alone states the constraint.
+  Task* tsc_top = nullptr;
+  /// Suspend tied task `t` at a scheduling point (a taskwait, a scope's
+  /// join, an inlined tied body): claims must now descend from it. Returns
+  /// the previous top, which the waiter hands back to resume_tied.
+  Task* suspend_tied(Task* t) noexcept {
+    assert((tsc_top == nullptr || t->is_descendant_of(*tsc_top)) &&
+           "a suspended tied task does not descend from the one below it");
+    Task* const prev = tsc_top;
+    tsc_top = t;
     parked_recheck = true;
+    return prev;
   }
-  void pop_tied() noexcept {
-    tied_stack.pop_back();
-    if (tied_chain > tied_stack.size()) tied_chain = tied_stack.size();
+  void resume_tied(Task* prev) noexcept {
+    tsc_top = prev;
     parked_recheck = true;  // the constraint relaxed: parked may be eligible
   }
   /// Number of zero-alloc inlined task bodies currently live on this
@@ -475,7 +468,7 @@ class Worker {
   std::uint32_t fold_count = 0;
   /// Re-examine the own parked inbox on the next claim_parked. Eligibility
   /// of a parked task against THIS worker only changes when the worker's
-  /// tied_stack changes, so between changes the own-inbox scan is skipped
+  /// tsc_top changes, so between changes the own-inbox scan is skipped
   /// (other workers always scan it; fresh refusals were just checked).
   bool parked_recheck = true;
   unsigned last_victim = no_victim;  ///< steal affinity hint
@@ -1086,17 +1079,16 @@ namespace detail {
 ///   `current` (the nearest descriptor-carrying ancestor), so pushing
 ///   `current` represents the constraint exactly as precisely as the graph
 ///   can: descendants-of-current is the tightest representable superset of
-///   descendants-of-the-inlined-task. The push maintains the PR-1 verified
-///   tied_chain prefix through Worker::push_tied; a duplicate of the
-///   current back() entry adds no constraint and is skipped, which makes
-///   deep inline recursion — the cut-off hot case — cost one compare.
+///   descendants-of-the-inlined-task. When `current` already is the
+///   worker's tsc_top the push adds no constraint and is skipped, which
+///   makes deep inline recursion — the cut-off hot case — cost one compare.
 ///
 /// The body's children reattach to `current`, so a taskwait inside the body
 /// waits on a superset of the inlined task's children (never fewer): join
 /// semantics are conservative, data dependences are preserved. Exceptions
 /// behave exactly like run_undeferred: an undeferred task is sequenced in
 /// its parent, so a throw unwinds the worker's bookkeeping (inline depth,
-/// tied-stack entry) and propagates synchronously from the spawn call —
+/// suspended tied top) and propagates synchronously from the spawn call —
 /// there is no descriptor to leak on this path.
 template <class F>
 void run_inline_fast(Worker& w, Tiedness tied, F&& f) {
@@ -1119,14 +1111,13 @@ void run_inline_fast(Worker& w, Tiedness tied, F&& f) {
   // statistics do not undercount under heavy inlining (sizeof the closure
   // is exactly what init_env would have recorded for a deferred twin).
   w.stats.env_bytes += static_cast<std::uint64_t>(sizeof(std::decay_t<F>));
-  const bool pushed =
-      tied == Tiedness::tied &&
-      (w.tied_stack.empty() || w.tied_stack.back() != w.current);
-  if (pushed) w.push_tied(w.current);
+  Task* const prev_top = w.tsc_top;
+  const bool pushed = tied == Tiedness::tied && prev_top != w.current;
+  if (pushed) w.suspend_tied(w.current);
   ++w.inline_depth;
-  const auto unwind = [&w, pushed]() noexcept {
+  const auto unwind = [&w, pushed, prev_top]() noexcept {
     --w.inline_depth;
-    if (pushed) w.pop_tied();
+    if (pushed) w.resume_tied(prev_top);
   };
   try {
     std::forward<F>(f)();

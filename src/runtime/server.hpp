@@ -7,7 +7,9 @@
 // run the server's worker loop as the resident region's implicit tasks,
 // picking request roots from a bounded admission queue under a pluggable
 // fairness policy and helping drain ANY request's tasks while they wait
-// (request roots are untied, so no cross-request convoying through the TSC).
+// (request roots are untied, so a request's own join causes no
+// cross-request convoying through the TSC; a tied wait inside a request
+// limits its worker to that task's descendants, as anywhere else).
 //
 // Robustness surface, in order of the overload ladder:
 //

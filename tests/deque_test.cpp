@@ -278,8 +278,12 @@ TEST(Deque, ConcurrentStealBatchClaimsEachTaskOnce) {
 /// the shared one only when the ring looks full. Drive that refresh, and
 /// the grow behind it, while thieves keep moving `top`: the owner pushes
 /// 64x the initial capacity in bursts of three rings' worth, popping between
-/// bursts, as three threads raid with steal_batch. Every task must be taken
-/// exactly once, and the ring must have grown along the way.
+/// bursts, as three threads raid with steal_batch. The thieves raid only
+/// while they have taken less than half of what the owner pushed, so at
+/// every optimisation level at least half the pushes stay in the ring and
+/// it must grow: unbounded thieves drain an unoptimised owner's ring as
+/// fast as it fills. Every task must be taken exactly once, and the ring
+/// must have grown along the way.
 TEST(Deque, CachedTopGrowsUnderConcurrentStealBatch) {
   constexpr std::size_t initial = 16;
   constexpr std::size_t total = initial * 64;
@@ -295,6 +299,7 @@ TEST(Deque, CachedTopGrowsUnderConcurrentStealBatch) {
   };
 
   std::atomic<bool> done{false};
+  std::atomic<std::size_t> pushed{0};
   std::atomic<std::size_t> stolen{0};
   std::vector<std::thread> thieves;
   thieves.reserve(n_thieves);
@@ -306,7 +311,14 @@ TEST(Deque, CachedTopGrowsUnderConcurrentStealBatch) {
         for (std::size_t k = 0; k < n; ++k) claim(batch[k]);
         stolen.fetch_add(n, std::memory_order_relaxed);
       };
-      while (!done.load(std::memory_order_acquire)) raid();
+      while (!done.load(std::memory_order_acquire)) {
+        if (stolen.load(std::memory_order_relaxed) <
+            pushed.load(std::memory_order_relaxed) / 2) {
+          raid();
+        } else {
+          std::this_thread::yield();
+        }
+      }
       raid();  // one last look after the owner stopped
     });
   }
@@ -314,6 +326,7 @@ TEST(Deque, CachedTopGrowsUnderConcurrentStealBatch) {
   std::size_t popped = 0;
   for (std::size_t i = 0; i < total; ++i) {
     d.push(a.at(i));
+    pushed.store(i + 1, std::memory_order_relaxed);
     if (i % burst == burst - 1) {
       if (rt::Task* t = d.pop()) {
         claim(t);

@@ -2,6 +2,10 @@
 // policies, tiedness/TSC behaviour, worksharing, worker-local storage.
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
+#include <mutex>
 #include <numeric>
 #include <set>
 #include <stdexcept>
@@ -303,25 +307,22 @@ TEST(Scheduler, ParkedTiedTaskExecutedByEligibleClaimantGlobalOverflow) {
   exercise_parked_path(/*distributed=*/false, 4);
 }
 
-/// Regression: tsc_allows must check EVERY suspended tied task, not only the
-/// deepest one. The suspended stack is not an ancestry chain: untied tasks
-/// are claimed without a TSC check, and a tied task inlined under one pushes
-/// a taskwait entry that need not descend from the deeper entries. Forced
-/// scenario (2 threads, FIFO): worker 0 spawns tied A and untied U; at the
-/// region barrier it runs A, which spawns B and taskwaits (stack [A]); the
-/// wait claims U (untied, unconstrained), which inlines tied C via
-/// spawn_if(false); C spawns tied D and taskwaits (stack [A, C]). D descends
-/// from C — the stack top — but NOT from A, so worker 0 must refuse it; a
-/// back()-only check would run D on worker 0 while A is suspended there,
-/// violating the constraint. Worker 1 spins in its implicit body until C
-/// waits (so it cannot perturb the setup), then drains the parked tasks at
-/// the barrier, which keeps the refusing schedule deadlock-free.
+/// Regression: no tied task may start on a worker holding a suspended tied
+/// task it does not descend from, even when an untied task and an inlined
+/// tied task stand between them. Forced scenario (2 threads, FIFO): worker
+/// 0 spawns tied A and untied U; at the region barrier it runs A, which
+/// spawns B and taskwaits. U does not descend from A, so the wait must
+/// refuse it (parked) and run B. Once A is done, the barrier runs U, which
+/// inlines tied C via spawn_if(false); C spawns tied D and taskwaits. D
+/// descends from C, but NOT from A: had U run on top of A's wait, D would
+/// have run on worker 0 while A is suspended there, violating the
+/// constraint. Worker 1 spins in its implicit body until C waits (so it
+/// cannot perturb the setup), then proceeds to the barrier.
 ///
 /// Runs with the zero-alloc inline path both on and off: with it on, C never
-/// gets a descriptor — its constraint is represented by the tied-stack entry
-/// the inline path pushes for its parent U (D reattaches to U as well), and
-/// the refusal must still fire; with it off, C is a descriptor-carrying
-/// undeferred task (the seed behaviour PR 1 fixed).
+/// gets a descriptor — its constraint is represented by its parent U as the
+/// worker's suspended tied top (D reattaches to U as well); with it off, C
+/// is a descriptor-carrying undeferred task.
 void exercise_tsc_broken_chain(bool distributed, bool inline_fast) {
   rt::SchedulerConfig cfg;
   cfg.num_threads = 2;
@@ -379,7 +380,7 @@ void exercise_tsc_broken_chain(bool distributed, bool inline_fast) {
   }
 }
 
-TEST(Scheduler, TscChecksEveryStackEntryAcrossUntiedAndInlinedTasks) {
+TEST(Scheduler, TscHoldsAcrossUntiedAndInlinedTasks) {
   for (bool distributed : {true, false}) {
     exercise_tsc_broken_chain(distributed, /*inline_fast=*/false);
   }
@@ -389,6 +390,56 @@ TEST(Scheduler, TscEnforcedAcrossZeroAllocInlinedTiedTasks) {
   for (bool distributed : {true, false}) {
     exercise_tsc_broken_chain(distributed, /*inline_fast=*/true);
   }
+}
+
+/// Regression: an untied task claimed on top of a tied wait must obey the
+/// scheduling constraint too. Deterministic scenario (1 worker, FIFO, no
+/// cut-off): the body spawns tied A and untied U and waits. A spawns tied B
+/// and waits; U spawns tied C and waits. Were U claimable inside A's wait,
+/// U would run on top of A and C — a descendant of U, not of A — could be
+/// claimed by no worker: U would wait for C forever and A for U. Under the
+/// rule U is refused while A waits, B runs, A ends, and the body's wait
+/// then runs U and C. A hang is the failure mode, so the region runs on a
+/// helper thread and a bounded wait ends the whole binary with a message
+/// instead of running into the suite's timeout.
+TEST(Scheduler, UntiedTaskWaitsForAnUnrelatedTiedWait) {
+  rt::SchedulerConfig cfg;
+  cfg.num_threads = 1;
+  cfg.local_order = rt::LocalOrder::fifo;
+  cfg.cutoff = rt::CutoffPolicy::none;
+  rt::Scheduler s(cfg);
+  std::atomic<int> leaves{0};
+  std::mutex mu;
+  std::condition_variable cv;
+  bool done = false;
+  std::thread runner([&] {
+    s.run_single([&] {
+      rt::spawn(rt::Tiedness::tied, [&leaves] {  // A
+        rt::spawn(rt::Tiedness::tied, [&leaves] { leaves.fetch_add(1); });  // B
+        rt::taskwait();
+      });
+      rt::spawn(rt::Tiedness::untied, [&leaves] {  // U
+        rt::spawn(rt::Tiedness::tied, [&leaves] { leaves.fetch_add(1); });  // C
+        rt::taskwait();
+      });
+      rt::taskwait();
+    });
+    std::lock_guard<std::mutex> lock(mu);
+    done = true;
+    cv.notify_one();
+  });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    if (!cv.wait_for(lock, std::chrono::seconds(10), [&] { return done; })) {
+      std::fprintf(stderr,
+                   "UntiedTaskWaitsForAnUnrelatedTiedWait: the region did not "
+                   "finish within 10 s (an untied task ran on top of an "
+                   "unrelated tied wait)\n");
+      std::_Exit(1);
+    }
+  }
+  runner.join();
+  EXPECT_EQ(leaves.load(), 2);
 }
 
 std::uint64_t fib_if(int n, int depth_left) {
@@ -501,9 +552,9 @@ TEST(Scheduler, InlineTaskExceptionPropagatesAtTheSpawnSite) {
 
 TEST(Scheduler, InlineTaskExceptionUnwindsTiedBookkeeping) {
   // A tied inlined task throwing from inside another tied inlined task:
-  // both frames must unwind their inline-depth and tied-stack entries on
+  // both frames must unwind their inline depth and suspended tied top on
   // the way out, or later tied scheduling (the TSC check) would consult a
-  // stack describing frames that no longer exist.
+  // frame that no longer exists.
   rt::Scheduler s(rt::SchedulerConfig{.num_threads = 4});
   std::uint64_t r = 0;
   s.run_single([&] {
@@ -781,10 +832,10 @@ TEST(Cutoff, InlineDepthDoesNotLeakIntoClaimedTasks) {
   // first (FIFO); T0 spawns A (depth 2, deferred — keeps its taskwait open)
   // and inlines untied C via spawn_if(false) (inline_depth = 1). C's
   // taskwait claims T1 — the oldest pending task, unconstrained because
-  // everything is untied — and T1's spawn of X must see depth 2 (deferred):
-  // a leaked inline_depth makes it 3 and wrongly inlines it. With the
-  // inline path off, C carries a descriptor and waits on no one, and X is
-  // plainly deferred — both runs must defer exactly {T0, T1, A, X}.
+  // no tied task is suspended — and T1's spawn of X must see depth 2
+  // (deferred): a leaked inline_depth makes it 3 and wrongly inlines it.
+  // With the inline path off, C carries a descriptor and waits on no one,
+  // and X is plainly deferred — both runs must defer exactly {T0, T1, A, X}.
   for (bool inline_fast : {true, false}) {
     rt::SchedulerConfig cfg;
     cfg.num_threads = 1;
