@@ -122,8 +122,9 @@ int main(int argc, char** argv) {
   }
   t.render(std::cout);
   std::cout << "\nExpected shape: 'none' collapses under task-flood (fib);\n"
-               "max_tasks (the icc-style default) and adaptive recover most\n"
-               "of the manual cut-off's performance without touching the\n"
-               "application — reference [27]'s thesis.\n";
+               "max_tasks (the default: each spawner's queue bounded to its\n"
+               "share) and adaptive (the same count with hysteresis) recover\n"
+               "most of the manual cut-off's performance without touching\n"
+               "the application — reference [27]'s thesis.\n";
   return 0;
 }

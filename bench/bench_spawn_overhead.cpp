@@ -5,7 +5,7 @@
 //                deferred), the paper's canonical task-overhead stressor
 //                (Figure 3's fib rows are dominated by exactly this cost).
 //   null       — a single generator flooding N empty tasks joined by one
-//                taskwait: pure descriptor + deque + accounting cost, no
+//                taskwait: pure descriptor + deque + finish cost, no
 //                user work and no recursion.
 //   fib_inline — fib under a manual depth cut-off expressed as an if
 //                clause: constructs above the bound defer, the vast
@@ -15,9 +15,9 @@
 //                (everything else at the fast-path defaults).
 //
 // fib and null run twice on the SAME binary: once with the fast-path knobs
-// on (batched accounting, steal-half, victim affinity, distributed parking
-// — the defaults) and once with all of them off (the seed behaviour). The
-// summary reports the relative overhead reduction.
+// on (steal-half, victim affinity, distributed parking, LIFO slot, fused
+// finish — the defaults) and once with all of them off (the seed
+// behaviour). The summary reports the relative overhead reduction.
 //
 // The binary doubles as the allocation-regression tripwire CI depends on:
 // a fully-inlined run with the fast path on must report ZERO task-pool
@@ -76,7 +76,6 @@ rt::SchedulerConfig make_config(unsigned threads, bool fastpath) {
   rt::SchedulerConfig cfg;
   cfg.num_threads = threads;
   cfg.cutoff = rt::CutoffPolicy::none;  // measure every spawn, no pruning
-  cfg.batch_accounting = fastpath;
   cfg.steal_half = fastpath;
   cfg.victim_affinity = fastpath;
   cfg.distributed_parking = fastpath;

@@ -23,12 +23,14 @@ enum class Tiedness : std::uint8_t { tied, untied };
 /// Runtime-side cut-off policy (paper Section IV-B, second group:
 /// "mechanisms based on the total number of tasks already created, the
 /// number of tasks ready to be executed, etc. Such pruning mechanisms can be
-/// easily implemented in the OpenMP runtime itself").
+/// easily implemented in the OpenMP runtime itself"). The two counting
+/// cut-offs read the number of tasks ready to be executed in the spawning
+/// worker's own queue, against that worker's share of the bound.
 enum class CutoffPolicy : std::uint8_t {
   none,       ///< never inline; every spawn is deferred
-  max_tasks,  ///< inline when live task count exceeds a bound (models icc 11.0)
+  max_tasks,  ///< inline when the spawner's queue holds its share of the bound
   max_depth,  ///< inline when task depth exceeds a bound
-  adaptive    ///< hysteresis on live task count (models Duran et al. [27])
+  adaptive    ///< hysteresis on the spawner's queue (models Duran et al. [27])
 };
 
 /// Order in which a worker consumes its own deque.
@@ -182,7 +184,9 @@ struct SchedulerConfig {
   CutoffPolicy cutoff = cutoff_from_env();
   /// Bound for the cut-off policy. 0 selects a policy-specific default:
   /// max_tasks -> 64 * num_threads, max_depth -> 16,
-  /// adaptive -> hi = 64 * num_threads (lo = hi / 2).
+  /// adaptive -> hi = 64 * num_threads (lo = hi / 2). The counting
+  /// cut-offs (max_tasks, adaptive) split the bound into equal per-worker
+  /// shares of queued tasks (64 each by default, at least 1).
   /// Also settable process-wide via RT_CUTOFF_VALUE.
   std::uint32_t cutoff_value = env_u32("RT_CUTOFF_VALUE", 0);
   /// Pool task descriptors in per-worker freelists instead of the global
@@ -195,18 +199,11 @@ struct SchedulerConfig {
   // -- spawn/steal fast-path knobs (each togglable so the ablation benches
   // -- and bench_spawn_overhead can A/B the overhaul piecewise) --------------
 
-  /// Batch live-task accounting. Matters only under the counting cut-offs
-  /// (max_tasks, adaptive), the sole readers of Region::live_tasks; under
-  /// none and max_depth nothing counts live tasks and this knob is inert.
-  /// On: spawn/finish adjust a per-worker delta that is flushed to the
-  /// shared Region::live_tasks atomic every `accounting_batch` operations
-  /// and whenever the worker reaches a task scheduling point with no local
-  /// work. Off: every spawn/finish does its own fetch_add on the shared
-  /// cacheline (the seed behaviour).
+  /// No effect: nothing counts live tasks. Deleted with the next benchmark
+  /// upkeep, which drops the perfbench lines that still name it.
   bool batch_accounting = true;
-  /// Flush threshold for batched accounting (counting cut-offs only). The
-  /// max_tasks/adaptive cut-offs may observe live_tasks stale by at most
-  /// `accounting_batch * team_size`.
+  /// No effect: nothing counts live tasks. Deleted with the next benchmark
+  /// upkeep, which drops the perfbench lines that still name it.
   std::uint32_t accounting_batch = 32;
 
   /// Steal up to half of the victim's deque in one grab and keep the surplus
@@ -382,11 +379,13 @@ struct SchedulerConfig {
   /// RT_REGION_DEADLINE_MS.
   std::uint32_t region_deadline_ms = env_u32("RT_REGION_DEADLINE_MS", 0);
 
-  /// Stall watchdog: a monitor thread samples the team's progress counters
-  /// (tasks executed, range chunks peeled) and, after `watchdog_ms`
-  /// milliseconds without any movement while tasks are still live, dumps
+  /// Stall watchdog: a monitor thread samples the sum of the team's progress
+  /// counters (tasks executed or discarded, range chunks peeled) and, after
+  /// `watchdog_ms` milliseconds in which that sum has not moved, dumps
   /// per-worker state, node hint words, mailbox depths and node-pool
-  /// snapshots to stderr. 0 = no watchdog. Also settable via RT_WATCHDOG_MS.
+  /// snapshots to stderr. The sum is the whole test, so a task body that
+  /// runs longer than the window reads as a stall too. 0 = no watchdog.
+  /// Also settable via RT_WATCHDOG_MS.
   std::uint32_t watchdog_ms = env_u32("RT_WATCHDOG_MS", 0);
 
   /// When the watchdog declares a stall, also cancel the region (the

@@ -86,6 +86,19 @@ class WorkStealingDeque {
     bottom_.store(b + 1, std::memory_order_relaxed);
   }
 
+  /// Owner-only: whether fewer than `n` tasks are queued. Like push, it
+  /// counts against top_cache_ and re-reads the shared top_ only when the
+  /// private copy says the bound has been reached: the copy only overstates
+  /// the occupancy, so its "fewer" is true, and a steal the copy missed
+  /// costs one refresh. The refresh acquires, as push's does, because push
+  /// trusts the refreshed copy to reuse slots.
+  [[nodiscard]] bool holds_fewer_than(std::int64_t n) noexcept {
+    const std::int64_t b = bottom_.load(std::memory_order_relaxed);
+    if (b - top_cache_ < n) return true;
+    top_cache_ = top_.load(std::memory_order_acquire);
+    return b - top_cache_ < n;
+  }
+
   /// Owner-only: pop the newest task (LIFO end). Returns nullptr when empty.
   Task* pop() {
     std::int64_t b = bottom_.load(std::memory_order_relaxed) - 1;

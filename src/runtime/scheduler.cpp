@@ -44,6 +44,14 @@ struct Backoff {
   int sleep_us = 50;
 };
 
+/// Whether `w`'s own queue — LIFO slot, steal stash and deque — holds
+/// fewer than `n` tasks: the one input of the counting cut-offs.
+/// Owner-only.
+bool queued_fewer_than(Worker& w, std::int64_t n) noexcept {
+  n -= static_cast<std::int64_t>(w.stash_count) + (w.slot != nullptr ? 1 : 0);
+  return n > 0 && w.deque.holds_fewer_than(n);
+}
+
 }  // namespace
 
 namespace detail {
@@ -72,14 +80,11 @@ Scheduler::Scheduler(SchedulerConfig cfg)
       topo_(Topology::detect(cfg.num_threads == 0 ? 1u : cfg.num_threads,
                              cfg.synthetic_topology)),
       grain_table_(cfg.num_threads == 0 ? 1u : cfg.num_threads,
-                   cfg.use_site_grain),
-      cutoff_bound_(cfg.resolved_cutoff_bound()) {
+                   cfg.use_site_grain) {
   if (cfg_.num_threads == 0) cfg_.num_threads = 1;
+  cutoff_bound_ = resolve_cutoff_bound();
   fault_.parse(cfg_.fault_plan);
   use_slot_ = cfg_.lifo_slot && cfg_.local_order == LocalOrder::lifo;
-  acct_batch_ = cfg_.accounting_batch > 0 ? cfg_.accounting_batch : 1;
-  count_live_ = cfg_.cutoff == CutoffPolicy::max_tasks ||
-                cfg_.cutoff == CutoffPolicy::adaptive;
   roots_.assign(cfg_.num_threads, nullptr);
   rebuild_mailboxes();
   {
@@ -156,10 +161,22 @@ void Scheduler::shrink_team(unsigned built) {
     tracer_ = std::make_unique<TraceCollector>(built, cfg_.trace_buf);
     for (auto& w : workers_) w->ring = tracer_->ring(w->id);
   }
-  if (cfg_.cutoff_value == 0) cutoff_bound_ = cfg_.resolved_cutoff_bound();
+  cutoff_bound_ = resolve_cutoff_bound();  // the counting share is per worker
   // A graph recorded for the planned team bakes that team's shape (root
   // frontier width, placement, depth decisions): invalidate every recording.
   ++graph_epoch_;
+}
+
+std::uint32_t Scheduler::resolve_cutoff_bound() const noexcept {
+  const std::uint32_t bound = cfg_.resolved_cutoff_bound();
+  if (cfg_.cutoff != CutoffPolicy::max_tasks &&
+      cfg_.cutoff != CutoffPolicy::adaptive) {
+    return bound;
+  }
+  // The counting cut-offs split the team-wide bound into equal per-worker
+  // shares of queue; a bound below the team size still lets each worker
+  // keep one task queued.
+  return std::max(1u, bound / cfg_.num_threads);
 }
 
 bool Scheduler::inject(Worker* w, FaultSite site) noexcept {
@@ -282,8 +299,9 @@ RegionStatus Scheduler::run_region(Region& r, std::chrono::milliseconds deadline
 
   // Deadline + stall watchdog share one monitor thread, spawned only when
   // either is armed so unmonitored regions pay nothing. It reads atomics
-  // only (per-worker progress, live_tasks) and is joined before the Region
-  // (a caller stack object) can die or the first exception rethrows. A
+  // only (per-worker progress; in a stall report, the region's parked,
+  // arrival and cancel words) and is joined before the Region (a caller
+  // stack object) can die or the first exception rethrows. A
   // refused monitor thread degrades to an unmonitored region — strictly
   // better than failing the region for the tool meant to watch it.
   const bool has_deadline = deadline.count() > 0;
@@ -388,7 +406,7 @@ bool Scheduler::help_one() {
     execute_deferred(*wp, *t);
     return true;
   }
-  flush_accounting(*wp);
+  flush_fold(*wp);
   return false;
 }
 
@@ -448,14 +466,10 @@ void Scheduler::dump_stall_report(Region& r) {
   // Stderr, single writer (only the monitor calls this). Reads shared
   // atomics only — per-worker plain fields are the workers' property and
   // are deliberately not touched.
-  std::fprintf(stderr, "rt: STALL: no task progress for %u ms (",
-               watchdog_tunables().first);
-  if (count_live_) {  // kept only under the counting cut-offs
-    std::fprintf(stderr, "live_tasks=%lld ",
-                 static_cast<long long>(
-                     r.live_tasks.load(std::memory_order_relaxed)));
-  }
-  std::fprintf(stderr, "parked=%zu arrived=%u cancel=%s)\n",
+  std::fprintf(stderr,
+               "rt: STALL: no task progress for %u ms (parked=%zu "
+               "arrived=%u cancel=%s)\n",
+               watchdog_tunables().first,
                r.parked_count.load(std::memory_order_relaxed),
                r.arrived.load(std::memory_order_relaxed),
                to_string(r.status()));
@@ -502,9 +516,6 @@ void Scheduler::participate(Worker& w, Region& r) {
   w.stats.pinned = w.pin_applied ? 1u : 0u;
   w.region = &r;
   w.throttled = false;
-  w.live_delta = 0;
-  w.acct_ops = 0;
-  w.barrier_draining = false;
   w.charge = {};
   assert(w.fold_count == 0 && "a folded completion outlived its region");
   w.inline_depth = 0;
@@ -576,23 +587,14 @@ bool Scheduler::should_defer(Worker& w, std::uint32_t depth) noexcept {
     case CutoffPolicy::max_depth:
       return depth <= cutoff_bound_;
     case CutoffPolicy::max_tasks:
-      // Adding the local unflushed delta keeps the bound exact for this
-      // worker's own contribution even with batched accounting.
-      return w.region->live_tasks.load(std::memory_order_relaxed) +
-                 w.live_delta <
-             static_cast<std::int64_t>(cutoff_bound_);
-    case CutoffPolicy::adaptive: {
-      const auto live =
-          w.region->live_tasks.load(std::memory_order_relaxed) + w.live_delta;
+      return queued_fewer_than(w, cutoff_bound_);
+    case CutoffPolicy::adaptive:
       if (w.throttled) {
-        if (live < static_cast<std::int64_t>(cutoff_bound_ / 2)) {
-          w.throttled = false;
-        }
-      } else if (live > static_cast<std::int64_t>(cutoff_bound_)) {
+        if (queued_fewer_than(w, cutoff_bound_ / 2)) w.throttled = false;
+      } else if (!queued_fewer_than(w, std::int64_t{cutoff_bound_} + 1)) {
         w.throttled = true;
       }
       return !w.throttled;
-    }
   }
   return true;
 }
@@ -698,36 +700,15 @@ void Scheduler::flush_outbound_stashes(Worker& w) noexcept {
   }
 }
 
-void Scheduler::flush_accounting(Worker& w) noexcept {
-  // Folded replay completions first: an unpaid fold keeps its parent — and
-  // through it a root — non-exclusive, so the barrier waits for this flush.
-  // The delta is non-zero only under the counting cut-offs.
-  flush_fold(w);
-  if (w.live_delta != 0) {
-    w.region->live_tasks.fetch_add(w.live_delta, std::memory_order_acq_rel);
-    w.live_delta = 0;
-    ++w.stats.acct_flushes;
-  }
-  w.acct_ops = 0;
-}
-
-void Scheduler::account_spawn(Worker& w) noexcept {
-  if (!count_live_) return;  // no cut-off reads the estimate
-  if (cfg_.batch_accounting) {
-    ++w.live_delta;
-    // Once this worker has arrived at a barrier, increments flush eagerly:
-    // a batched +1 held across an execute would otherwise cancel against
-    // the (already flushed) finish of the same subtree on another worker,
-    // and the cut-off would read a population missing that work.
-    if (w.barrier_draining || ++w.acct_ops >= acct_batch_) {
-      flush_accounting(w);
-    }
-  } else {
-    w.region->live_tasks.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
 void Scheduler::enqueue(Worker& w, Task& t) {
+  // Per-request ledger (server mode): the task was counted into the queued
+  // population of its request; execute_deferred will balance it with exactly
+  // one executed or discarded. Null — and free — in ordinary regions.
+  if (RegionCtx* c = t.ctx()) c->note_deferred();
+  enqueue_released(w, t);
+}
+
+void Scheduler::enqueue_released(Worker& w, Task& t) {
   // Advertise this node as fed (NodeHints): remote hierarchical planners
   // consult the word before spending interconnect probes here. The steady
   // state (word already set) costs one relaxed load. Hints live in the
@@ -735,11 +716,6 @@ void Scheduler::enqueue(Worker& w, Task& t) {
   // retires the whole generation — policy and words together — only after
   // this worker's pin moves on.
   if (NodeHints* h = w.snap->hints.get()) h->publish(w.node);
-  account_spawn(w);
-  // Per-request ledger (server mode): the task was counted into the queued
-  // population of its request; execute_deferred will balance it with exactly
-  // one executed or discarded. Null — and free — in ordinary regions.
-  if (RegionCtx* c = t.ctx()) c->note_deferred();
   // Range tasks never hide in the private slot: their whole point is to be
   // splittable on steal, and a slot entry is invisible to thieves until the
   // owner's next scheduling point.
@@ -750,26 +726,6 @@ void Scheduler::enqueue(Worker& w, Task& t) {
   } else {
     w.deque.push(&t);
   }
-}
-
-void Scheduler::enqueue_released(Worker& w, Task& t) {
-  // Routing half of enqueue only: a dependence-released task was fully
-  // accounted (worker ledger, live count, request ledger) when it was
-  // dep-spawned or bulk-charged by a graph replay. Counting it again here
-  // would double-book the region's live population.
-  if (NodeHints* h = w.snap->hints.get()) h->publish(w.node);
-  if (use_slot_ && t.range() == nullptr) {
-    Task* evicted = w.slot;
-    w.slot = &t;
-    if (evicted != nullptr) w.deque.push(evicted);
-  } else {
-    w.deque.push(&t);
-  }
-}
-
-void Scheduler::account_dep_spawn(Worker& w, Task& t) noexcept {
-  account_spawn(w);
-  if (RegionCtx* c = t.ctx()) c->note_deferred();
 }
 
 void Scheduler::release_dep_ref(Worker& w, Task& t) noexcept {
@@ -815,10 +771,9 @@ void Scheduler::publish_range_half(Worker& w, Task& t) {
         // exactly-once delivery is preserved, only the placement quality
         // drops (the half stays stealable the ordinary way).
         !inject(&w, FaultSite::mailbox_push)) {
-      // Same live-task accounting as enqueue, same ordering (the half is
-      // counted before it becomes claimable); only the landing spot moves.
+      // Same request ledger as enqueue, same ordering (the half is counted
+      // before it becomes claimable); only the landing spot moves.
       ++w.stats.range_halves_redirected;
-      account_spawn(w);
       if (RegionCtx* c = t.ctx()) c->note_deferred();
       trace_record(w.ring, TraceEvent::mailbox, topo_.node_of(t.owner()),
                    trace_pack_nodes(target, w.node));
@@ -868,7 +823,7 @@ void Scheduler::execute_deferred(Worker& w, Task& t) {
     ++w.stats.tasks_discarded;
     if (ctx != nullptr) ctx->note_discarded();
     t.destroy_env();
-    finish_task(w, t, /*deferred=*/true);
+    finish_task(w, t);
     return;
   }
   Task* prev = w.current;
@@ -919,7 +874,7 @@ void Scheduler::execute_deferred(Worker& w, Task& t) {
   t.destroy_env();
   w.current = prev;
   w.inline_depth = prev_inline;
-  finish_task(w, t, /*deferred=*/true);
+  finish_task(w, t);
 }
 
 void Scheduler::run_undeferred(Worker& w, Task& t) {
@@ -931,7 +886,7 @@ void Scheduler::run_undeferred(Worker& w, Task& t) {
     // exact for the queued population.
     ++w.stats.tasks_discarded_inline;
     t.destroy_env();
-    finish_task(w, t, /*deferred=*/false);
+    finish_task(w, t);
     return;
   }
   Task* prev = w.current;
@@ -958,21 +913,20 @@ void Scheduler::run_undeferred(Worker& w, Task& t) {
     // parent's child count must drop and the storage must recycle, or the
     // descriptor (and through it the parent chain) leaks.
     leave();
-    finish_task(w, t, /*deferred=*/false);
+    finish_task(w, t);
     throw;
   }
   leave();
-  finish_task(w, t, /*deferred=*/false);
+  finish_task(w, t);
 }
 
-void Scheduler::finish_task(Worker& w, Task& t, bool deferred) {
+void Scheduler::finish_task(Worker& w, Task& t) {
   // Dependence hook first, before any path can recycle the descriptor:
   // successors release on execute AND discard retirements alike, which is
   // what lets a cancelled DAG or replay drain by discards (one null check
   // for every task that carries no dependences).
   if (t.dep() != nullptr) release_successors(w, t);
   Task* parent = t.parent();
-  Region* region = w.region;
   // Order matters. (1) The completion announcement (the parent's
   // unfinished-children decrement) must never be preceded by dropping this
   // task's self-reference: t's reference on the parent is released only when
@@ -993,9 +947,8 @@ void Scheduler::finish_task(Worker& w, Task& t, bool deferred) {
   // scope, comes after every disposal below it. Nothing here touches the
   // frame after that RMW: child_completed_and_release returns false for a
   // frame (its own reference remains) and release_chain stops there, so
-  // the frame may leave the stack at once. What follows touches only the
-  // Region, which outlives every worker's region_done_ arrival; never the
-  // task's RegionCtx, which may die as soon as its frame is exclusive.
+  // the frame may leave the stack at once. Nor is the task's RegionCtx
+  // touched after it: the ctx may die as soon as its frame is exclusive.
   // The scope-end test is exact because every task hangs by a reference
   // chain from the frame of every scope it was created in:
   //   - set_links links a spawn under w.current and copies its ctx, so
@@ -1035,14 +988,6 @@ void Scheduler::finish_task(Worker& w, Task& t, bool deferred) {
     // upward; the announcement is already done by then.
     if (parent != nullptr) parent->child_completed();
     release_chain(w, &t);
-  }
-  // Only the counting cut-offs read the live-task estimate.
-  if (!deferred || region == nullptr || !count_live_) return;
-  if (cfg_.batch_accounting) {
-    --w.live_delta;
-    if (++w.acct_ops >= acct_batch_) flush_accounting(w);
-  } else {
-    region->live_tasks.fetch_sub(1, std::memory_order_release);
   }
 }
 
@@ -1085,7 +1030,7 @@ void Scheduler::help_until(Worker& w, Done done) {
       execute_deferred(w, *t);
       backoff.reset();
     } else {
-      flush_accounting(w);
+      flush_fold(w);
       backoff.pause();
     }
   }
@@ -1138,12 +1083,10 @@ void Scheduler::barrier_from(Worker& w) {
   // to it — a range split, a dependent spawn — runs a task that holds a
   // reference on it), and an arrived implicit task runs no body of its own,
   // only claimed tasks. Settling returns this root's unused spawn slots
-  // first; the flush pays folds (an unpaid fold keeps its parent, and so a
-  // root, non-exclusive) and, under the counting cut-offs, the live delta,
-  // whose spawn side flushes eagerly from here on (Worker::barrier_draining).
+  // first, and the flush pays folds (an unpaid fold keeps its parent, and
+  // so a root, non-exclusive).
   settle_charge(w);
-  flush_accounting(w);
-  w.barrier_draining = true;
+  flush_fold(w);
   w.parked_recheck = true;  // the barrier suspends no tied task: drain all
   const std::uint32_t gen = r.barrier_gen.load(std::memory_order_acquire);
   // The arrival RMW releases this worker's roots_ entry (stored in
@@ -1164,7 +1107,6 @@ void Scheduler::barrier_from(Worker& w) {
       return r.barrier_gen.load(std::memory_order_acquire) != gen;
     });
   }
-  w.barrier_draining = false;
 }
 
 std::exception_ptr Scheduler::run_scope(Worker& w, Tiedness tied,

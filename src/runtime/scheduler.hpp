@@ -46,14 +46,13 @@
 //   the frame directly. Every wait — taskwait, barrier, scope join — helps
 //   through one idle loop (Scheduler::help_until). taskwait waits on the
 //   same per-parent words, one level down.
-// * Live-task estimate only where a cut-off reads it: Region::live_tasks
-//   is an input of the counting cut-offs (max_tasks, adaptive) and of
-//   nothing else, so under none and max_depth spawn, finish and replay do
-//   no live-task accounting at all. Under the counting cut-offs spawn and
-//   finish adjust a per-worker delta flushed every
-//   SchedulerConfig::accounting_batch operations, at every idle scheduling
-//   point and — from barrier arrival on — at every spawn, so the estimate
-//   the cut-off reads stays close. Deltas are region-scoped, reset on entry.
+// * Counting cut-offs read the spawner's own queue: max_tasks defers a
+//   spawn while the worker's LIFO slot, steal stash and deque together hold
+//   fewer than its share of the bound (Scheduler::resolve_cutoff_bound),
+//   and adaptive puts its hysteresis on the same count — the per-thread
+//   ready-queue throttle of the Intel/LLVM runtime. Nothing is counted per
+//   spawn or finish, and the deque answers from its private copy of `top`
+//   until the share is reached.
 // * LIFO slot: the newest spawned task waits in a private one-entry slot
 //   (Worker::slot) instead of the deque, so the hottest pop of depth-first
 //   recursion costs two plain stores instead of a seq_cst-fenced deque pop.
@@ -230,10 +229,6 @@ struct RegionResult {
 struct Region {
   explicit Region(unsigned team) : team_size(team) {}
 
-  /// Deferred tasks not yet finished, counted only under the counting
-  /// cut-offs (Scheduler::counts_live_tasks); an estimate, never a
-  /// quiescence input.
-  std::atomic<std::int64_t> live_tasks{0};
   std::atomic<std::uint32_t> arrived{0};     ///< barrier arrival count
   std::atomic<std::uint32_t> barrier_gen{0}; ///< barrier generation (reusable)
   std::atomic<bool> has_exception{false};
@@ -449,11 +444,6 @@ class Worker {
   static constexpr std::size_t stash_capacity = 64;
 
   // -- spawn/steal fast-path state (region-scoped, reset on region entry) --
-  // live_delta/acct_ops/barrier_draining move only under the counting
-  // cut-offs (Scheduler::counts_live_tasks).
-  std::int64_t live_delta = 0;     ///< unflushed Region::live_tasks change
-  std::uint32_t acct_ops = 0;      ///< spawns/finishes since the last flush
-  bool barrier_draining = false;   ///< arrived at a barrier: increments flush eagerly
   /// Spawn slots of `current` (see SpawnCharge), so they always belong to
   /// the task now running here: saved and cleared when an undeferred child
   /// or a request/nested-region frame takes over `current`, restored when
@@ -807,9 +797,6 @@ class Scheduler {
 
   // ---- internal API used by the spawn fast path (do not call directly) ----
   [[nodiscard]] bool should_defer(Worker& w, std::uint32_t depth) noexcept;
-  /// Whether Region::live_tasks is kept: only the counting cut-offs
-  /// (max_tasks, adaptive) read it; the barrier never does.
-  [[nodiscard]] bool counts_live_tasks() const noexcept { return count_live_; }
   /// Charge w.current one child + reference for a spawn (see SpawnCharge).
   static void charge_parent(Worker& w) noexcept {
     SpawnCharge& c = w.charge;
@@ -854,14 +841,10 @@ class Scheduler {
 
   // ---- internal API used by the dependence layer (dependency.hpp) ---------
   /// Routing half of enqueue for a dependence-released task: node-hint
-  /// publish plus the slot-or-deque push ONLY. All spawn-side accounting
-  /// (worker ledger, region live count, request ledger) happened when the
-  /// task was dep-spawned or bulk-charged by a replay, so a release can
-  /// never double-count.
+  /// publish plus the slot-or-deque push ONLY. Its spawn-side ledgers
+  /// (worker counters, request ledger) moved when the task was dep-spawned
+  /// or bulk-charged by a replay, so a release can never double-count.
   void enqueue_released(Worker& w, Task& t);
-  /// The accounting half, called at dep-spawn time — dep tasks reach a
-  /// queue only when their predecessors release them, possibly much later.
-  void account_dep_spawn(Worker& w, Task& t) noexcept;
   /// Drop the dependence tracker's descriptor pin (DepScope::wait, after
   /// the join): completes the deferred half of the pinned task's release
   /// chain into its parent.
@@ -894,6 +877,9 @@ class Scheduler {
   /// the monitor holds no epoch slot). Re-read every poll so
   /// reconfigure_live retunes a live watchdog.
   [[nodiscard]] std::pair<std::uint32_t, bool> watchdog_tunables() const;
+  /// cfg_'s resolved cut-off bound; under the counting cut-offs, one
+  /// worker's share of it (at least 1).
+  [[nodiscard]] std::uint32_t resolve_cutoff_bound() const noexcept;
   /// One fault-plan draw at `site`; counts into `w` when given. Returns
   /// true when the site should fail now.
   [[nodiscard]] bool inject(Worker* w, FaultSite site) noexcept;
@@ -913,23 +899,21 @@ class Scheduler {
   void dispose(Worker& w, Task& t) noexcept;
   void flush_stash(Worker& w, unsigned owner) noexcept;
   void flush_outbound_stashes(Worker& w) noexcept;
-  void account_spawn(Worker& w) noexcept;
   Task* take_mailed(Worker& w, bool scavenge);
   void apply_pinning(Worker& w) noexcept;
   void restore_caller_mask() noexcept;
   void assert_between_regions() noexcept;
   Task* find_work(Worker& w);
   Task* steal_work(Worker& w, bool& progress);
-  void flush_accounting(Worker& w) noexcept;
-  /// The idle loop of every wait: run a claimed task, or flush this
-  /// worker's accounting and back off, until `done()` holds.
+  /// The idle loop of every wait: run a claimed task, or pay this worker's
+  /// fold and back off, until `done()` holds.
   template <class Done>
   void help_until(Worker& w, Done done);
   void park_refused(Worker& w, Task* t);
   Task* claim_parked(Worker& w);
   [[nodiscard]] bool tsc_allows(const Worker& w, const Task& t) const noexcept;
   void execute_deferred(Worker& w, Task& t);
-  void finish_task(Worker& w, Task& t, bool deferred);
+  void finish_task(Worker& w, Task& t);
   void release_chain(Worker& w, Task* t) noexcept;
   /// Finish-path dependence hook (top of finish_task, execute AND discard
   /// retirements): walk the task's successor list — dynamic Treiber stack
@@ -971,7 +955,7 @@ class Scheduler {
   std::atomic<std::uint8_t> active_kind_{0};
 
   GrainTable grain_table_;
-  std::uint32_t cutoff_bound_;
+  std::uint32_t cutoff_bound_;  ///< resolve_cutoff_bound(), per team shape
   /// Pinning epoch: 0 = pinning disabled, otherwise bumped by reconfigure
   /// so workers re-pin at their next region entry (Worker::pin_seen).
   /// Written only between regions; workers read it inside participate,
@@ -989,8 +973,6 @@ class Scheduler {
   long caller_tid_ = -1;             ///< restore address for the saved mask
   bool caller_pinned_ = false;
   bool use_slot_ = false;  ///< cfg_.lifo_slot effective under LocalOrder::lifo
-  std::uint32_t acct_batch_ = 1;  ///< cached cfg_.accounting_batch (>= 1)
-  bool count_live_ = false;       ///< cfg_.cutoff is max_tasks or adaptive
   std::vector<std::unique_ptr<Worker>> workers_;
   /// Implicit root frame of each team worker in the current region, indexed
   /// by worker id and sized to the live team (shrink_team resizes it). Kept

@@ -59,7 +59,7 @@ namespace bots::rt {
   X(taskwaits, sum)                                                          \
   X(tsc_parked, sum)              /* claims parked by the TSC */             \
   X(parked_claimed, sum)          /* parked tasks claimed back */            \
-  X(acct_flushes, sum)            /* batched live-task delta flushes */      \
+  X(acct_flushes, sum)            /* always 0; goes at benchmark upkeep */   \
   X(env_bytes, sum)               /* captured-environment bytes (Table II) */ \
   X(pool_reuse, sum)              /* allocations served by the freelist */   \
   X(pool_fresh, sum)              /* allocations carved from a chunk */      \

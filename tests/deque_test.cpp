@@ -207,6 +207,26 @@ TEST(Deque, StealBatchTakesTheLastElement) {
   EXPECT_EQ(d.pop(), nullptr);
 }
 
+TEST(Deque, HoldsFewerThanSeesStealsAndPops) {
+  // The owner's count starts from its private copy of top, which a steal
+  // leaves stale: the query must still see the steal once the copy says
+  // the bound is reached.
+  rt::WorkStealingDeque d;
+  TaskArena a(5);
+  EXPECT_TRUE(d.holds_fewer_than(1));
+  EXPECT_FALSE(d.holds_fewer_than(0));
+  for (std::size_t i = 0; i < 5; ++i) d.push(a.at(i));
+  EXPECT_FALSE(d.holds_fewer_than(5));
+  EXPECT_TRUE(d.holds_fewer_than(6));
+  EXPECT_EQ(d.steal(), a.at(0));
+  EXPECT_EQ(d.steal(), a.at(1));
+  EXPECT_TRUE(d.holds_fewer_than(4));
+  EXPECT_FALSE(d.holds_fewer_than(3));
+  EXPECT_EQ(d.pop(), a.at(4));
+  EXPECT_TRUE(d.holds_fewer_than(3));
+  EXPECT_FALSE(d.holds_fewer_than(2));
+}
+
 /// Concurrency stress mixing pop, steal and steal_batch: every task must be
 /// claimed exactly once — no loss, no duplication — whatever the interleave.
 TEST(Deque, ConcurrentStealBatchClaimsEachTaskOnce) {

@@ -66,8 +66,8 @@ TEST(Properties, RegionQuiescenceUnderRandomSpawnTrees) {
           << "round " << round << " breadth " << breadth << " depth " << depth;
     }
   }
-  // The same shapes, smaller, under a cut-off that counts live tasks
-  // (max_tasks) and one that counts none, on both synthetic topologies:
+  // The same shapes, smaller, under a cut-off that reads the spawner's
+  // queue (max_tasks) and one that defers everything, on both topologies:
   // a single generator, a nested region, every worker growing a tree and
   // checking it at a mid-region barrier, a region cancelled halfway, whose
   // discards must retire through the same barrier, and server requests —

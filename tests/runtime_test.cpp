@@ -9,6 +9,7 @@
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -144,22 +145,17 @@ INSTANTIATE_TEST_SUITE_P(Threads, SchedulerThreads,
                          });
 
 // ---------------------------------------------------------------------------
-// Spawn/steal fast path: batched accounting, steal-half, parking.
+// Spawn/steal fast path: steal-half, parking.
 // ---------------------------------------------------------------------------
 
-TEST_P(SchedulerThreads, QuiescenceWithBatchedAccountingDeltas) {
-  // Batched deltas exist only under a counting cut-off; its bound is far
-  // above the task count, so every spawn still defers. The flush threshold
-  // is far larger than the task count too, so deltas sit unflushed for the
-  // whole region: the barrier, which reads the task tree and not the
-  // counter, must still join everything and never hang on them (caught by
+TEST_P(SchedulerThreads, QuiescenceUnderMaxTasksDeferringEverySpawn) {
+  // A max_tasks bound far above the task count defers every spawn, and the
+  // region-end barrier alone must join everything, never hanging (caught by
   // the timeout).
   rt::SchedulerConfig cfg;
   cfg.num_threads = GetParam();
   cfg.cutoff = rt::CutoffPolicy::max_tasks;
   cfg.cutoff_value = 1u << 30;
-  cfg.batch_accounting = true;
-  cfg.accounting_batch = 1u << 20;
   rt::Scheduler s(cfg);
   for (int round = 0; round < 20; ++round) {
     std::atomic<int> done{0};
@@ -176,15 +172,14 @@ TEST_P(SchedulerThreads, QuiescenceWithBatchedAccountingDeltas) {
   }
 }
 
-TEST_P(SchedulerThreads, QuiescenceWithBatchedAccountingAcrossPhases) {
-  // Mid-region barriers too, under a counting cut-off whose bound defers
-  // every spawn: tasks spawned by tasks executed inside the barrier drain
-  // must be joined however far the live-task estimate lags.
+TEST_P(SchedulerThreads, QuiescenceUnderMaxTasksAcrossPhases) {
+  // Mid-region barriers too, under a max_tasks bound that defers every
+  // spawn: tasks spawned by tasks executed inside the barrier drain must be
+  // joined before the barrier opens.
   rt::SchedulerConfig cfg;
   cfg.num_threads = GetParam();
   cfg.cutoff = rt::CutoffPolicy::max_tasks;
   cfg.cutoff_value = 1u << 30;
-  cfg.accounting_batch = 1u << 20;
   rt::Scheduler s(cfg);
   std::atomic<int> phase1{0};
   std::atomic<bool> violation{false};
@@ -211,7 +206,6 @@ TEST_P(SchedulerThreads, FibCorrectWithFastPathDisabled) {
   // knobs off must still be a correct scheduler.
   rt::SchedulerConfig cfg;
   cfg.num_threads = GetParam();
-  cfg.batch_accounting = false;
   cfg.steal_half = false;
   cfg.victim_affinity = false;
   cfg.distributed_parking = false;
@@ -761,28 +755,77 @@ TEST(Cutoff, NoneDefersEverything) {
   EXPECT_EQ(st.total.tasks_executed, st.total.tasks_deferred);
 }
 
-TEST(Cutoff, OnlyCountingCutoffsKeepLiveTaskAccounting) {
-  // The region barrier reads the task tree, not Region::live_tasks, so the
-  // live-task estimate is kept only where a cut-off reads it. A 4-worker
-  // single-generator fib under cut-off none flushes no accounting at all —
-  // not even from the workers draining at the barrier — while max_tasks
-  // still flushes its batched deltas.
-  const auto flushes_with = [](rt::CutoffPolicy cutoff) {
-    rt::SchedulerConfig cfg;
-    cfg.num_threads = 4;
-    cfg.cutoff = cutoff;
-    cfg.fault_plan.clear();  // the full team
-    rt::Scheduler s(cfg);
-    EXPECT_EQ(s.num_workers(), 4u);
-    std::uint64_t r = 0;
-    s.run_single([&] { r = fib_task(18, rt::Tiedness::tied); });
-    EXPECT_EQ(r, fib_ref(18));
-    const auto t = s.stats().total;
-    EXPECT_GT(t.tasks_deferred, 0u);
-    return t.acct_flushes;
+TEST(Cutoff, MaxTasksBoundsEachSpawnersQueue) {
+  // max_tasks splits its bound into per-worker shares of queue: with 16 on
+  // two workers, each spawner defers while its own queue holds fewer than
+  // 8. Worker 1 spawns 16 empty tasks while worker 0 waits outside the
+  // scheduler; then worker 0 spawns 16 while worker 1 does. Nobody steals
+  // while anyone spawns, so each worker defers exactly 8 and inlines 8 —
+  // the tasks worker 1 left queued do not count against worker 0.
+  rt::SchedulerConfig cfg{.num_threads = 2,
+                          .cutoff = rt::CutoffPolicy::max_tasks,
+                          .cutoff_value = 16};
+  cfg.fault_plan.clear();  // the full team, and no inlined failed allocs
+  rt::Scheduler s(cfg);
+  ASSERT_EQ(s.num_workers(), 2u);
+  std::atomic<bool> one_done{false};
+  std::atomic<bool> zero_done{false};
+  std::atomic<int> ran{0};
+  const auto spawn16 = [&ran] {
+    for (int i = 0; i < 16; ++i) {
+      rt::spawn([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
+    }
   };
-  EXPECT_EQ(flushes_with(rt::CutoffPolicy::none), 0u);
-  EXPECT_GT(flushes_with(rt::CutoffPolicy::max_tasks), 0u);
+  s.run_all([&](unsigned id) {
+    if (id == 1) {
+      spawn16();
+      one_done.store(true, std::memory_order_release);
+      while (!zero_done.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
+    } else {
+      while (!one_done.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
+      spawn16();
+      zero_done.store(true, std::memory_order_release);
+    }
+  });
+  EXPECT_EQ(ran.load(), 32);
+  const auto st = s.stats();
+  for (unsigned id = 0; id < 2; ++id) {
+    EXPECT_EQ(st.per_worker[id].tasks_deferred, 8u) << "worker " << id;
+    EXPECT_EQ(st.per_worker[id].tasks_cutoff_inlined, 8u) << "worker " << id;
+  }
+}
+
+TEST(Cutoff, AdaptiveHysteresisOnTheSpawnersQueue) {
+  // One worker, bound 4: adaptive throttles once the queue holds more than
+  // 4 and releases only once it holds fewer than 2. help_one runs one queued
+  // task at a time, so every spawn below lands on a known queue length.
+  rt::SchedulerConfig cfg{.num_threads = 1,
+                          .cutoff = rt::CutoffPolicy::adaptive,
+                          .cutoff_value = 4};
+  cfg.fault_plan.clear();  // no inlined failed allocs
+  rt::Scheduler s(cfg);
+  std::atomic<int> ran{0};
+  std::string trace;  // D deferred, I inlined, one letter per spawn
+  s.run_single([&] {
+    const auto spawn_one = [&] {
+      const auto before = s.stats().total.tasks_deferred;
+      rt::spawn([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
+      trace += s.stats().total.tasks_deferred > before ? 'D' : 'I';
+    };
+    for (int i = 0; i < 6; ++i) spawn_one();  // queue 0..4 defer, 5 > 4
+    for (int i = 0; i < 3; ++i) s.help_one();  // queue 5 -> 2
+    spawn_one();     // 2 is not below 2: still throttled
+    s.help_one();    // queue 2 -> 1
+    spawn_one();     // 1 < 2: released, deferred
+    spawn_one();     // 2 <= 4: deferred
+    rt::taskwait();
+  });
+  EXPECT_EQ(ran.load(), 9);
+  EXPECT_EQ(trace, "DDDDDIIDD");
 }
 
 TEST(Cutoff, MaxDepthInlinesBelowDepth) {
