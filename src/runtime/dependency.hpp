@@ -31,12 +31,15 @@
 //   after the join, which also completes the deferred half of each task's
 //   release chain into the parent.
 // * Dep tasks are ALWAYS deferred — inlining one would run it before its
-//   predecessors — and fully accounted at spawn (worker ledger, region
-//   live count, request ledger); the release at predecessor-finish only
-//   ROUTES the task onto a queue. Barriers therefore can never open early
-//   and `executed + discarded == deferred` holds on every path, including
-//   cancellation (a discarded predecessor still releases its successors,
-//   so a cancelled DAG drains by discards instead of deadlocking).
+//   predecessors — and fully accounted at spawn (worker ledger, request
+//   ledger); the release at predecessor-finish only ROUTES the task onto a
+//   queue. A task waiting on its predecessors already holds the reference
+//   on its parent it took at spawn, so it hangs by a reference chain from a
+//   root frame, which cannot read exclusive meanwhile. Barriers therefore
+//   never open early, and `executed + discarded == deferred` holds on
+//   every path, including cancellation (a discarded predecessor still
+//   releases its successors, so a cancelled DAG drains by discards instead
+//   of deadlocking).
 //
 // Scoping rule (OpenMP's): dependences relate SIBLING tasks spawned by the
 // same DepScope. Addresses touched by different scopes are unrelated.

@@ -44,14 +44,6 @@ struct Backoff {
   int sleep_us = 50;
 };
 
-/// Whether `w`'s own queue — LIFO slot, steal stash and deque — holds
-/// fewer than `n` tasks: the one input of the counting cut-offs.
-/// Owner-only.
-bool queued_fewer_than(Worker& w, std::int64_t n) noexcept {
-  n -= static_cast<std::int64_t>(w.stash_count) + (w.slot != nullptr ? 1 : 0);
-  return n > 0 && w.deque.holds_fewer_than(n);
-}
-
 }  // namespace
 
 namespace detail {
@@ -523,7 +515,6 @@ void Scheduler::participate(Worker& w, Region& r) {
   w.last_victim = Worker::no_victim;
   w.gated_rounds = 0;
   w.slot = nullptr;
-  w.stash_count = 0;
   w.parked_recheck = true;
   assert(w.deque.empty_estimate() && "work leaked across regions");
   assert(w.parked_inbox.load(std::memory_order_relaxed) == nullptr &&
@@ -587,11 +578,11 @@ bool Scheduler::should_defer(Worker& w, std::uint32_t depth) noexcept {
     case CutoffPolicy::max_depth:
       return depth <= cutoff_bound_;
     case CutoffPolicy::max_tasks:
-      return queued_fewer_than(w, cutoff_bound_);
+      return w.queued_fewer_than(cutoff_bound_);
     case CutoffPolicy::adaptive:
       if (w.throttled) {
-        if (queued_fewer_than(w, cutoff_bound_ / 2)) w.throttled = false;
-      } else if (!queued_fewer_than(w, std::int64_t{cutoff_bound_} + 1)) {
+        if (w.queued_fewer_than(cutoff_bound_ / 2)) w.throttled = false;
+      } else if (!w.queued_fewer_than(std::int64_t{cutoff_bound_} + 1)) {
         w.throttled = true;
       }
       return !w.throttled;
@@ -1242,33 +1233,29 @@ Task* Scheduler::steal_work(Worker& w, bool& progress) {
   // raid notifications all come from the same pinned generation (find_work
   // pinned it at the top of this round).
   PolicySnapshot& sp = *w.snap;
-  Task* batch[Worker::stash_capacity];
-  const std::size_t base_cap = std::clamp<std::size_t>(
-      cfg_.steal_batch_max, std::size_t{1}, Worker::stash_capacity);
+  constexpr std::size_t raid_max = 64;
+  Task* batch[raid_max];
+  const std::size_t base_cap =
+      std::clamp<std::size_t>(cfg_.steal_batch_max, std::size_t{1}, raid_max);
   // A raid returns the oldest stolen task (or parks it when the TSC refuses
-  // it) and keeps any surplus in the private stash, which find_work drains
-  // before touching the deque (see Worker::stash). The caller guarantees
-  // the stash is empty here. Surplus keeps the references it was spawned
-  // with (and, under the counting cut-offs, the live count enqueue gave
-  // it), so no accounting happens on this path.
+  // it) and pushes any surplus onto the thief's own deque, oldest first, so
+  // the next pop takes the newest, and the thief's own spawns land on top
+  // of it. A plain push, not enqueue_released: that would hide the newest
+  // stolen task in the private slot. Surplus keeps the references it was
+  // spawned with, so no accounting happens on this path.
   auto raid = [&](unsigned v) -> std::size_t {
     ++w.stats.steal_attempts;
     trace_record(w.ring, TraceEvent::steal_attempt, v);
-    WorkStealingDeque& victim = workers_[v]->deque;
-    std::size_t got = 0;
     // Batch only when unconstrained: a worker suspended inside a tied task
     // may execute nothing but descendants of it, and a raided batch from an
     // arbitrary victim is mostly non-descendants — it would go straight to
     // the parked pool, turning one refusal into a batch of them. The cap
     // per victim is the policy's call (hierarchical shrinks it across the
     // interconnect).
-    if (cfg_.steal_half && w.tsc_top == nullptr) {
-      got = victim.steal_batch(batch, sp.policy->batch_cap(w, v, base_cap));
-      if (got > 0) ++w.stats.steal_batches;
-    } else if (Task* t = victim.steal()) {
-      batch[0] = t;
-      got = 1;
-    }
+    const bool batched = cfg_.steal_half && w.tsc_top == nullptr;
+    const std::size_t got = workers_[v]->deque.steal_batch(
+        batch, batched ? sp.policy->batch_cap(w, v, base_cap) : 1);
+    if (batched && got > 0) ++w.stats.steal_batches;
     sp.policy->raided(w, v, got > 0);
     if (got == 0) return 0;
     w.stats.tasks_stolen += got;
@@ -1281,11 +1268,9 @@ Task* Scheduler::steal_work(Worker& w, bool& progress) {
     } else {
       ++w.stats.steals_remote_node;
     }
-    for (std::size_t i = 1; i < got; ++i) w.stash[w.stash_count++] = batch[i];
-    // Surplus transition: this node now holds stealable-soon work (the
-    // stash drains through the thief, whose splits/spawns re-enqueue
-    // here). Publishing is the conservative direction — a set word only
-    // costs probes.
+    for (std::size_t i = 1; i < got; ++i) w.deque.push(batch[i]);
+    // Surplus transition: this node now holds stealable work. Publishing is
+    // the conservative direction — a set word only costs probes.
     if (got > 1 && sp.hints != nullptr) sp.hints->publish(w.node);
     return got;
   };
@@ -1293,7 +1278,7 @@ Task* Scheduler::steal_work(Worker& w, bool& progress) {
     progress = true;
     if (tsc_allows(w, *first)) return first;
     park_refused(w, first);
-    return nullptr;  // the caller re-runs the local phase for the surplus
+    return nullptr;  // the caller loops back to the local phase
   };
   // The probe ORDER is entirely the policy's decision (affinity hints,
   // same-node-first tiers, rotation); this loop only executes it.
@@ -1331,15 +1316,10 @@ Task* Scheduler::find_work(Worker& w) {
     // the announce-validate handshake.
     pin_snapshot(w);
     // 1. The private LIFO slot (the newest spawn — no fence, no deque),
-    // then surplus from the last batched steal (private, two plain stores
-    // per task), then the own deque (order selects depth- vs breadth-first).
+    // then the own deque (order selects depth- vs breadth-first), where
+    // this worker's spawns sit on top of any surplus its raids left.
     if (Task* t = w.slot; t != nullptr) {
       w.slot = nullptr;
-      if (tsc_allows(w, *t)) return t;
-      park_refused(w, t);
-    }
-    while (w.stash_count > 0) {
-      Task* t = w.stash[--w.stash_count];
       if (tsc_allows(w, *t)) return t;
       park_refused(w, t);
     }
@@ -1364,8 +1344,8 @@ Task* Scheduler::find_work(Worker& w) {
     // off the per-pop hot path — but before stealing, so a waiting ancestor
     // reaches its parked descendant on every idle round.
     if (Task* t = claim_parked(w)) return t;
-    // 3. Steal. A raid that only yielded TSC-refused or stashed tasks made
-    // progress without returning one: loop back to the local phase.
+    // 3. Steal. A raid whose task the TSC refused (only a constrained raid,
+    // which takes one) made progress without returning one: loop back.
     bool progress = false;
     if (Task* t = steal_work(w, progress)) return t;
     // 3.5 Liveness fallback for hint placement: before reporting idle,

@@ -47,8 +47,8 @@
 //   through one idle loop (Scheduler::help_until). taskwait waits on the
 //   same per-parent words, one level down.
 // * Counting cut-offs read the spawner's own queue: max_tasks defers a
-//   spawn while the worker's LIFO slot, steal stash and deque together hold
-//   fewer than its share of the bound (Scheduler::resolve_cutoff_bound),
+//   spawn while the worker's LIFO slot and deque together hold fewer than
+//   its share of the bound (Scheduler::resolve_cutoff_bound),
 //   and adaptive puts its hysteresis on the same count — the per-thread
 //   ready-queue throttle of the Intel/LLVM runtime. Nothing is counted per
 //   spawn or finish, and the deque answers from its private copy of `top`
@@ -61,12 +61,13 @@
 //   points — liveness and quiescence arguments see it like any queued task.
 // * Batched stealing: an unconstrained thief raids up to half the victim's
 //   deque in one coherence transfer (deque.hpp explains why it is one CAS
-//   *per task* but one cacheline transfer per raid), returns one eligible
-//   task and keeps the surplus in a private stash consumed before the deque
-//   (constrained thieves — a suspended tied task — raid single tasks: a
-//   batch of non-descendants would land straight in the parked pool). A
-//   worker also remembers the last victim a steal succeeded from and tries
-//   it first (steals come in bursts from loaded workers).
+//   *per task* but one cacheline transfer per raid), returns the oldest
+//   task and pushes the surplus onto its own deque, where its own children
+//   land on top of it and other thieves can steal it (constrained thieves —
+//   a suspended tied task — raid single tasks: a batch of non-descendants
+//   would land straight in the parked pool). A worker also remembers the
+//   last victim a steal succeeded from and tries it first (steals come in
+//   bursts from loaded workers).
 // * Policy layer: victim selection ORDER, steal-batch sizing and the
 //   range-split demand check are not decided here — steal_work probes the
 //   victims its StealPolicy (steal_policy.hpp) lists, with the batch cap the
@@ -441,8 +442,6 @@ class Worker {
   /// Scheduler constructor) — one allocation per worker, none per steal.
   std::vector<unsigned> victim_buf;
 
-  static constexpr std::size_t stash_capacity = 64;
-
   // -- spawn/steal fast-path state (region-scoped, reset on region entry) --
   /// Spawn slots of `current` (see SpawnCharge), so they always belong to
   /// the task now running here: saved and cleared when an undeferred child
@@ -467,15 +466,13 @@ class Worker {
   /// thieves only until this worker's next scheduling point — find_work
   /// drains it before it steals or reports no work.
   Task* slot = nullptr;
-  /// Surplus from the last batched steal, consumed before the deque. A plain
-  /// private array: surplus handling costs two stores per task instead of a
-  /// deque push + fenced pop. Invisible to other thieves only while waiting
-  /// here — every find_work drains the stash first and parks (publishes) any
-  /// entry the TSC refuses, so the progress argument is unaffected. Each
-  /// entry still holds its reference on its parent, so the barrier's root
-  /// test sees it like any queued task.
-  std::size_t stash_count = 0;
-  Task* stash[stash_capacity];
+  /// Whether this worker's own queue — LIFO slot and deque — holds fewer
+  /// than `n` tasks: the one input of the counting cut-offs, and at n = 1
+  /// the range executor's split demand. Owner-only.
+  bool queued_fewer_than(std::int64_t n) noexcept {
+    if (slot != nullptr) --n;
+    return n > 0 && deque.holds_fewer_than(n);
+  }
 
   // -- policy snapshot pin (live reconfiguration, PR 9) ---------------------
   /// The PolicySnapshot generation this worker is currently acting on.
@@ -516,12 +513,12 @@ void warn_last_region_status_race() noexcept;
 }
 
 // Declared in steal_policy.hpp (Worker was incomplete there); defined here
-// so the range hot loop's once-per-grain-chunk call inlines to three loads.
-inline bool StealPolicy::should_split_range(const Worker& w) const noexcept {
+// so the range hot loop's once-per-grain-chunk call inlines to a few loads.
+inline bool StealPolicy::should_split_range(Worker& w) const noexcept {
   // Local queue dry == a steal (or this worker's own drain) just emptied
-  // it: somebody is hungry. A thief's first check after stealing a range
-  // always passes — its queue was empty, that is why it stole.
-  return w.slot == nullptr && w.stash_count == 0 && w.deque.empty_estimate();
+  // it: somebody is hungry. A thief's first check after stealing a lone
+  // range always passes — its queue was empty, that is why it stole.
+  return w.queued_fewer_than(1);
 }
 
 class Scheduler {

@@ -50,7 +50,7 @@ class Worker;
 
 /// Per-node "has work" hints: one cache-line-padded word per locality node.
 /// The scheduler publishes a node's word on every enqueue into that node
-/// (and when a steal stashes surplus there) and clears it when a fruitless
+/// (and when a steal pushes surplus there) and clears it when a fruitless
 /// steal round observes the whole node dry; the hierarchical policy reads
 /// the words to skip planning probes into idle remote nodes — the
 /// interconnect traffic an all-idle node otherwise costs every round.
@@ -195,7 +195,7 @@ class StealPolicy {
   virtual unsigned victim_order(Worker& w, unsigned* order) = 0;
 
   /// Steal-half batch cap for a raid by `w` on victim `v`; `base` is the
-  /// configured steal_batch_max (already clamped to the stash capacity).
+  /// configured steal_batch_max (already clamped to the raid buffer).
   [[nodiscard]] virtual std::size_t batch_cap(const Worker& w, unsigned v,
                                               std::size_t base) const noexcept {
     (void)w;
@@ -236,7 +236,7 @@ class StealPolicy {
   /// range hot loop and must inline. Defined in scheduler.hpp, after
   /// Worker. A future policy needing a different demand rule should
   /// promote it to a virtual hook and eat the per-chunk dispatch then.
-  [[nodiscard]] bool should_split_range(const Worker& w) const noexcept;
+  [[nodiscard]] bool should_split_range(Worker& w) const noexcept;
 
   [[nodiscard]] const Topology& topology() const noexcept { return topo_; }
 

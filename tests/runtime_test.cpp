@@ -737,6 +737,110 @@ TEST(Scheduler, ZeroThreadConfigClampsToOne) {
 }
 
 // ---------------------------------------------------------------------------
+// The own queue after a batched steal. Workers wait outside the scheduler
+// so that the steals below happen in a fixed order.
+// ---------------------------------------------------------------------------
+
+/// Yield until `done()` holds or `limit` passes; returns `done()`.
+template <class Pred>
+bool yield_until(Pred done, std::chrono::milliseconds limit) {
+  const auto deadline = std::chrono::steady_clock::now() + limit;
+  while (!done() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  return done();
+}
+
+TEST(Scheduler, StolenSurplusIsStealable) {
+  // Worker 0 spawns 5 tasks and waits outside the scheduler: the newest
+  // sits in its private LIFO slot, the other 4 in its deque. Worker 1
+  // raids half of them, runs the oldest and blocks in it until the other
+  // deque-queued tasks have run. Worker 2 arrives only then, and reaches
+  // worker 1's surplus only if the surplus sits where thieves look.
+  rt::SchedulerConfig cfg{.num_threads = 3, .cutoff = rt::CutoffPolicy::none};
+  cfg.fault_plan.clear();  // the full team, and every spawn deferred
+  rt::Scheduler s(cfg);
+  ASSERT_EQ(s.num_workers(), 3u);
+  std::atomic<bool> spawned{false};
+  std::atomic<bool> blocked{false};
+  std::atomic<bool> released{false};
+  std::atomic<int> others{0};
+  bool others_ran = false;
+  s.run_all([&](unsigned id) {
+    if (id == 0) {
+      for (int i = 0; i < 5; ++i) {
+        rt::spawn([&] {
+          if (blocked.exchange(true)) {
+            others.fetch_add(1);
+            return;
+          }
+          others_ran = yield_until([&] { return others.load() >= 3; },
+                                   std::chrono::milliseconds(2000));
+          released.store(true);
+        });
+      }
+      spawned.store(true);
+      while (!released.load()) std::this_thread::yield();
+    } else if (id == 1) {
+      while (!spawned.load()) std::this_thread::yield();
+    } else {
+      while (!blocked.load()) std::this_thread::yield();
+    }
+  });
+  EXPECT_TRUE(others_ran)
+      << "the 3 deque-queued tasks did not run within 2 s while worker 1 "
+         "held its raid's surplus";
+  EXPECT_EQ(others.load(), 4);
+}
+
+TEST(Scheduler, ThiefWaitRunsItsOwnChildrenFirst) {
+  // Worker 0 spawns 8 tasks that each spawn 2 leaves and wait for them,
+  // then waits outside the scheduler while worker 1 raids the 7 in its
+  // deque. At each wait worker 1's own children must come before the
+  // stolen siblings of its batch: a tied wait would have to park a sibling
+  // it claimed, an untied one would start the sibling on top of itself.
+  for (const rt::Tiedness tied : {rt::Tiedness::tied, rt::Tiedness::untied}) {
+    rt::SchedulerConfig cfg{.num_threads = 2,
+                            .cutoff = rt::CutoffPolicy::none};
+    cfg.fault_plan.clear();  // the full team, and every spawn deferred
+    rt::Scheduler s(cfg);
+    ASSERT_EQ(s.num_workers(), 2u);
+    std::atomic<bool> spawned{false};
+    std::atomic<int> finished{0};
+    std::atomic<int> waiting{0};  // stolen tasks waiting on worker 1
+    std::atomic<int> nested{0};   // started on worker 1 above such a wait
+    s.run_all([&](unsigned id) {
+      if (id == 1) {
+        while (!spawned.load()) std::this_thread::yield();
+        return;
+      }
+      for (int i = 0; i < 8; ++i) {
+        rt::spawn(tied, [&] {
+          const bool thief = rt::worker_id() == 1;
+          if (thief && waiting.load() > 0) nested.fetch_add(1);
+          rt::spawn(tied, [] {});
+          rt::spawn(tied, [] {});
+          if (thief) waiting.fetch_add(1);
+          rt::taskwait();
+          if (thief) waiting.fetch_sub(1);
+          finished.fetch_add(1);
+        });
+      }
+      spawned.store(true);
+      // The 8th task sits in this worker's LIFO slot until it returns.
+      yield_until([&] { return finished.load() >= 7; },
+                  std::chrono::milliseconds(10000));
+    });
+    const bool is_tied = tied == rt::Tiedness::tied;
+    EXPECT_EQ(finished.load(), 8) << "tied=" << is_tied;
+    EXPECT_EQ(nested.load(), 0) << "tied=" << is_tied;
+    if (is_tied) {
+      EXPECT_EQ(s.stats().per_worker[1].tsc_parked, 0u);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Cut-off policies.
 // ---------------------------------------------------------------------------
 
