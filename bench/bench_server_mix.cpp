@@ -13,11 +13,13 @@
 //              into bounded-latency rejects/sheds/deadline kills, never
 //              into unbounded queueing or lost requests.
 //
-// Every leg reports p50/p99 admission-to-terminal latency, throughput and
-// the terminal-state tally as one "SERVERMIX: {json}" line, and the process
+// Every leg reports p50/p99 admission-to-terminal latency, the p50/p99 of
+// its queue-wait part (admission to pickup), throughput and the
+// terminal-state tally as one "SERVERMIX: {json}" line, and the process
 // exits non-zero if ANY robustness invariant fails:
 //   * every submitted request reaches exactly one terminal state
 //   * per-request ledgers balance (executed + discarded == deferred)
+//   * no request's queue wait exceeds its latency
 //   * completed requests produced the right answers
 //   * global per-worker accounting balances after drain
 //   * node pools balance after drain (when active)
@@ -178,6 +180,8 @@ struct LegResult {
   std::uint64_t shed = 0;
   double p50_ms = 0;
   double p99_ms = 0;
+  double queue_wait_p50_ms = 0;  // admission to pickup; shed requests read 0
+  double queue_wait_p99_ms = 0;
   double throughput_rps = 0;
   double wall_s = 0;
   double mean_service_us = 0;  // completed requests only
@@ -247,7 +251,9 @@ LegResult run_leg(rt::TaskServer& server, const char* name, unsigned n,
   // Every handle terminal before the clock stops — admitted or rejected,
   // nothing may be left pending.
   std::vector<double> lat_ms;
+  std::vector<double> wait_ms;
   lat_ms.reserve(n);
+  wait_ms.reserve(n);
   std::uint64_t service_sum_us = 0;
   for (unsigned i = 0; i < n; ++i) {
     const rt::RequestStatus st = handles[i].wait();
@@ -267,6 +273,9 @@ LegResult run_leg(rt::TaskServer& server, const char* name, unsigned n,
     }
     if (st != rt::RequestStatus::rejected_overload) {
       lat_ms.push_back(static_cast<double>(handles[i].latency().count()) / 1e3);
+      wait_ms.push_back(static_cast<double>(handles[i].queue_wait().count()) / 1e3);
+      check(handles[i].queue_wait() <= handles[i].latency(),
+            "queue wait longer than latency");
     }
   }
   const auto t1 = std::chrono::steady_clock::now();
@@ -276,10 +285,16 @@ LegResult run_leg(rt::TaskServer& server, const char* name, unsigned n,
         "terminal-state tally != submitted (lost request)");
   const rt::ServerStats after = server.stats();
   r.shed = after.shed - before.shed;
+  const auto quantile = [](std::vector<double>& v, std::size_t num,
+                           std::size_t den) {
+    std::sort(v.begin(), v.end());
+    return v[std::min(v.size() - 1, v.size() * num / den)];
+  };
   if (!lat_ms.empty()) {
-    std::sort(lat_ms.begin(), lat_ms.end());
-    r.p50_ms = lat_ms[lat_ms.size() / 2];
-    r.p99_ms = lat_ms[std::min(lat_ms.size() - 1, lat_ms.size() * 99 / 100)];
+    r.p50_ms = quantile(lat_ms, 1, 2);
+    r.p99_ms = quantile(lat_ms, 99, 100);
+    r.queue_wait_p50_ms = quantile(wait_ms, 1, 2);
+    r.queue_wait_p99_ms = quantile(wait_ms, 99, 100);
   }
   if (r.completed > 0) {
     r.mean_service_us =
@@ -294,6 +309,7 @@ void print_leg(const LegResult& r) {
       "SERVERMIX: {\"leg\":\"%s\",\"target_rps\":%.1f,\"submitted\":%llu,"
       "\"completed\":%llu,\"cancelled\":%llu,\"deadline_exceeded\":%llu,"
       "\"rejected\":%llu,\"shed\":%llu,\"p50_ms\":%.3f,\"p99_ms\":%.3f,"
+      "\"queue_wait_p50_ms\":%.3f,\"queue_wait_p99_ms\":%.3f,"
       "\"throughput_rps\":%.1f,\"wall_s\":%.3f}\n",
       r.name.c_str(), r.target_rps,
       static_cast<unsigned long long>(r.submitted),
@@ -302,7 +318,7 @@ void print_leg(const LegResult& r) {
       static_cast<unsigned long long>(r.deadline_exceeded),
       static_cast<unsigned long long>(r.rejected),
       static_cast<unsigned long long>(r.shed), r.p50_ms, r.p99_ms,
-      r.throughput_rps, r.wall_s);
+      r.queue_wait_p50_ms, r.queue_wait_p99_ms, r.throughput_rps, r.wall_s);
   std::fflush(stdout);
 }
 

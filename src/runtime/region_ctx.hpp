@@ -94,6 +94,11 @@ class RegionCtx {
   /// the latency accounting. Default-constructed time_point = unset.
   std::chrono::steady_clock::time_point arrival{};
   std::chrono::steady_clock::time_point deadline{};
+  /// Set once by the worker that takes the request off the queue, before its
+  /// body runs; unset for a request that was never picked (rejected, shed,
+  /// or cancelled while queued). Read only once the request is terminal:
+  /// finalize's CAS orders the stamp before any done() reader.
+  std::chrono::steady_clock::time_point pickup{};
   [[nodiscard]] bool has_deadline() const noexcept {
     return deadline != std::chrono::steady_clock::time_point{};
   }
@@ -235,6 +240,16 @@ class RegionCtx {
   [[nodiscard]] std::chrono::microseconds latency() const noexcept {
     return std::chrono::microseconds(
         latency_us_.load(std::memory_order_relaxed));
+  }
+
+  /// Admission-to-pickup wait, the queueing part of latency(); 0 until the
+  /// request is terminal, and for a request that was never picked.
+  [[nodiscard]] std::chrono::microseconds queue_wait() const noexcept {
+    if (!done() || pickup == std::chrono::steady_clock::time_point{}) {
+      return std::chrono::microseconds{0};
+    }
+    return std::chrono::duration_cast<std::chrono::microseconds>(pickup -
+                                                                 arrival);
   }
 
  private:

@@ -1,7 +1,9 @@
 #include "runtime/server.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
+#include <system_error>
 #include <unordered_map>
 #include <utility>
 
@@ -17,6 +19,11 @@ namespace {
 /// time by stride_unit / weight, so a weight-2 stream is picked twice as
 /// often as a weight-1 stream under sustained load.
 constexpr std::uint64_t stride_unit = 1ULL << 20;
+
+/// Longest an idle worker blocks without a wake, in ns: it bounds how late
+/// a blocked worker sees another request's spawned tasks, an external
+/// cancel_current_region() and a live policy swap, none of which wake it.
+constexpr long idle_backstop_ns = 200'000;
 
 /// Map a request context's state to its terminal status. `hard_stop` is the
 /// resident-region-cancelled path: a request whose subtree was truncated by
@@ -38,6 +45,9 @@ TaskServer::TaskServer(Scheduler& sched, ServerConfig cfg)
   if (cfg_.queue_capacity == 0) cfg_.queue_capacity = 1;
   max_live_ = cfg_.max_live == 0 ? sched_.num_workers() : cfg_.max_live;
   loop_fn_ = [this](unsigned id) { worker_loop(id); };
+  if (sem_init(&wake_, /*pshared=*/0, 0) != 0) {
+    throw std::system_error(errno, std::generic_category(), "sem_init");
+  }
   accepting_ = true;
   region_up_ = true;
   // The server thread becomes worker 0 of the resident region; submits that
@@ -53,7 +63,10 @@ TaskServer::TaskServer(Scheduler& sched, ServerConfig cfg)
   }
 }
 
-TaskServer::~TaskServer() { stop(); }
+TaskServer::~TaskServer() {
+  stop();
+  sem_destroy(&wake_);
+}
 
 bool TaskServer::retune(StealPolicyKind kind) {
   if (!sched_.config().live_reconfigure) return false;
@@ -147,7 +160,7 @@ bool TaskServer::shed_one_locked() {
 
 SubmitResult TaskServer::submit(std::function<void()> body,
                                 RequestOptions opts) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock(mu_);
   ++stats_.submitted;
   auto ctx = std::make_shared<RegionCtx>(++next_id_, opts.weight);
   ctx->arrival = std::chrono::steady_clock::now();
@@ -189,6 +202,13 @@ SubmitResult TaskServer::submit(std::function<void()> body,
   req.pass = global_pass_ + stride_unit / ctx->weight();
   queue_.push_back(std::move(req));
   res.admitted = true;
+  // Wake one blocked worker, outside mu_ so it does not wake into a held
+  // lock. A worker counts itself idle under mu_ in the same critical
+  // section that found nothing pickable, so an admission never slips past
+  // a worker going idle.
+  const bool wake_one = idle_workers_ > 0;
+  lock.unlock();
+  if (wake_one) wake(1);
   return res;
 }
 
@@ -228,7 +248,7 @@ SubmitResult TaskServer::submit_graph(const std::string& tag,
 }
 
 bool TaskServer::pick_next_locked(PendingReq& out) {
-  if (queue_.empty() || live_.size() >= max_live_) return false;
+  if (!pickable_locked()) return false;
   std::size_t best = 0;
   if (cfg_.fairness == ServerFairness::weighted_share) {
     for (std::size_t i = 1; i < queue_.size(); ++i) {
@@ -244,6 +264,7 @@ bool TaskServer::pick_next_locked(PendingReq& out) {
 
 void TaskServer::run_request(PendingReq req) {
   const auto t0 = std::chrono::steady_clock::now();
+  req.ctx->pickup = t0;
   sched_.run_ctx_root(*req.ctx, req.body);
   const auto service = std::chrono::duration_cast<std::chrono::microseconds>(
       std::chrono::steady_clock::now() - t0);
@@ -265,40 +286,55 @@ void TaskServer::run_request(PendingReq req) {
 void TaskServer::worker_loop(unsigned id) {
   (void)id;
   region_live_.store(true, std::memory_order_release);
-  unsigned idle_spins = 0;
+  // Graceful drain with an empty queue: nothing left to pick. The region-end
+  // barrier a leaving worker enters keeps it HELPING other workers'
+  // still-live requests until true quiescence.
+  const auto leave_locked = [this] { return draining_ && queue_.empty(); };
   for (;;) {
     // Hard stop: an external cancel_current_region() cancelled the resident
     // region. Leave immediately; server_main sweeps up non-terminal
     // requests after the region is down.
     if (cancellation_point()) break;
     PendingReq req;
-    bool got = false;
-    bool leave = false;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      got = pick_next_locked(req);
-      if (!got && draining_ && queue_.empty()) leave = true;
+      if (!pick_next_locked(req) && leave_locked()) break;
     }
-    if (got) {
+    if (req.ctx) {
+      // Returning here picks the next queued request, so the max_live slot
+      // this request frees is refilled without waking anyone.
       run_request(std::move(req));
-      idle_spins = 0;
       continue;
     }
-    if (leave) {
-      // Graceful drain with an empty queue: nothing left to pick. The
-      // region-end barrier this worker now enters keeps it HELPING other
-      // workers' still-live requests until true quiescence.
-      break;
+    if (sched_.help_one()) continue;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (pickable_locked() || leave_locked()) continue;
+      ++idle_workers_;
     }
-    if (sched_.help_one()) {
-      idle_spins = 0;
-    } else if (++idle_spins < 16) {
-      std::this_thread::yield();
-    } else {
-      // Resident steady state: park briefly instead of burning the core.
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-    }
+    wait_for_wake();
+    std::lock_guard<std::mutex> lock(mu_);
+    --idle_workers_;
   }
+}
+
+void TaskServer::wait_for_wake() noexcept {
+  timespec until{};
+  (void)clock_gettime(CLOCK_MONOTONIC, &until);
+  until.tv_nsec += idle_backstop_ns;
+  if (until.tv_nsec >= 1'000'000'000) {
+    ++until.tv_sec;
+    until.tv_nsec -= 1'000'000'000;
+  }
+  // A token, the backstop or an EINTR: each ends the wait alike, and the
+  // caller re-checks the queue under mu_.
+  (void)sem_clockwait(&wake_, CLOCK_MONOTONIC, &until);
+}
+
+void TaskServer::wake(unsigned n) noexcept {
+  // sem_post fails only at SEM_VALUE_MAX pending tokens, which already
+  // wake every worker that blocks.
+  for (unsigned i = 0; i < n; ++i) (void)sem_post(&wake_);
 }
 
 void TaskServer::server_main() {
@@ -452,15 +488,19 @@ void TaskServer::join_server() {
 }
 
 void TaskServer::drain() {
+  unsigned idle = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
     accepting_ = false;
     draining_ = true;
+    idle = idle_workers_;
   }
+  wake(idle);
   join_server();
 }
 
 void TaskServer::stop() {
+  unsigned idle = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
     accepting_ = false;
@@ -474,7 +514,9 @@ void TaskServer::stop() {
     queue_.clear();
     for (auto& c : live_) c->cancel(RegionStatus::cancelled);
     draining_ = true;
+    idle = idle_workers_;
   }
+  wake(idle);
   join_server();
 }
 

@@ -42,6 +42,30 @@
 //   not-yet-started tasks discarded) and finalized as cancelled, and
 //   further submits are rejected.
 //
+// Idle workers. A worker with no request to pick and no task to help with
+// counts itself in idle_workers_ under mu_, in the same critical section
+// that found no request pickable (queued, with a free max_live slot) and no
+// drain to leave for, then blocks on a semaphore. submit() posts one wake
+// token per admission, and only while some worker is counted idle, so a
+// loaded server pays no wake syscall; drain() and stop() post one per idle
+// worker. A worker that finishes a request picks the next one itself, so a
+// freed max_live slot needs no wake. The wait keeps a 200 us backstop for
+// the three events that post no token: tasks spawned by another request
+// (cross-request help), an external cancel_current_region(), and a live
+// policy swap, whose quiescence wait needs a blocked worker to re-pin
+// (so retune() waits at most one backstop period for it).
+//
+// A semaphore, not a condition variable: glibc's pthread_cond_signal can
+// block the signaller until waiters of an older wait group have run, and
+// workers timing out every 200 us keep making such groups. With a
+// condition variable the submitter of perfbench's server workload ran
+// late by 2.5-22 ms at p99 (0.1-9 ms at the polling parent) and stretch
+// p50 got no better; sem_post never blocks. Task spawns deliberately post
+// no token: waking a sleeper per spawn while one sleeps measured worse
+// (stretch p50 1.28-1.46 against 1.08-1.14 without it), as did idle
+// workers that yield forever instead of blocking (1.16-1.18 against
+// 1.07-1.09); all on a 4-vCPU VM.
+//
 // Every submitted request ends in EXACTLY ONE terminal state — completed,
 // cancelled, deadline_exceeded or rejected_overload (RegionCtx::finalize is
 // a CAS) — which is the conservation law bench_server_mix and the CI soak
@@ -62,6 +86,8 @@
 #include <thread>
 #include <unordered_map>
 #include <vector>
+
+#include <semaphore.h>
 
 #include "runtime/config.hpp"
 #include "runtime/region_ctx.hpp"
@@ -168,6 +194,12 @@ class RegionHandle {
   /// Admission-to-terminal latency (0 until terminal, and for rejects).
   [[nodiscard]] std::chrono::microseconds latency() const noexcept {
     return ctx_ ? ctx_->latency() : std::chrono::microseconds{0};
+  }
+  /// Admission-to-pickup part of latency(): how long the request sat in the
+  /// queue before a worker took it (0 until terminal, and for a request no
+  /// worker picked — rejected, shed, or cancelled while queued).
+  [[nodiscard]] std::chrono::microseconds queue_wait() const noexcept {
+    return ctx_ ? ctx_->queue_wait() : std::chrono::microseconds{0};
   }
   /// Cooperatively cancel this request (pending: skipped at pickup; live:
   /// its not-yet-started tasks are discarded). Idempotent.
@@ -293,6 +325,10 @@ class TaskServer {
   void worker_loop(unsigned id);
   void run_request(PendingReq req);
   void monitor_main(const std::stop_token& st);
+  /// A request is queued and a max_live slot is free. Caller holds mu_.
+  [[nodiscard]] bool pickable_locked() const noexcept {
+    return !queue_.empty() && live_.size() < max_live_;
+  }
   /// Pop the next runnable request per the fairness policy. Caller holds mu_.
   [[nodiscard]] bool pick_next_locked(PendingReq& out);
   /// Cancel the nearest-deadline pending request (freeing its queue slot) or,
@@ -300,6 +336,13 @@ class TaskServer {
   /// whether a queue slot was freed.
   bool shed_one_locked();
   void tally_terminal_locked(RequestStatus s) noexcept;
+  /// Block an idle worker until a wake token arrives or the backstop
+  /// passes. The caller counted itself in idle_workers_ under mu_, after
+  /// finding nothing pickable there.
+  void wait_for_wake() noexcept;
+  /// Post `n` wake tokens without blocking. A token that finds no blocked
+  /// worker lets the next one to block return at once, to re-check mu_.
+  void wake(unsigned n) noexcept;
   [[nodiscard]] std::chrono::milliseconds retry_hint_locked() const noexcept;
   void join_server();
 
@@ -327,6 +370,8 @@ class TaskServer {
   std::uint64_t next_id_ = 0;                       // guarded by mu_
   std::uint64_t global_pass_ = 0;                   // guarded by mu_
   std::uint64_t ewma_service_us_ = 0;               // guarded by mu_
+  unsigned idle_workers_ = 0;                       // guarded by mu_
+  sem_t wake_;  ///< wake tokens for idle workers (see wait_for_wake)
   ServerStats stats_;                               // guarded by mu_
   std::unordered_map<std::string, std::unique_ptr<GraphEntry>>
       graphs_;                                      // guarded by mu_

@@ -8,6 +8,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <functional>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -63,6 +66,22 @@ void expect_accounting_balanced(const rt::StatsSnapshot& st) {
 void expect_conservation(const rt::ServerStats& st) {
   EXPECT_EQ(st.submitted,
             st.completed + st.cancelled + st.deadline_exceeded + st.rejected);
+}
+
+// A lost wakeup shows as a hang, so the wake-protocol tests wait a bounded
+// time for `done` and end the whole binary with a message instead of running
+// into the suite's timeout.
+void finish_within(std::chrono::seconds limit, const char* what,
+                   const std::function<bool()>& done) {
+  const auto until = std::chrono::steady_clock::now() + limit;
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= until) {
+      std::fprintf(stderr, "%s: not done within %lld s\n", what,
+                   static_cast<long long>(limit.count()));
+      std::_Exit(1);
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -323,6 +342,53 @@ TEST(Server, PerRequestDeadlineExceeded) {
 }
 
 // ---------------------------------------------------------------------------
+// Satellite: the queue wait (admission to pickup) is the part of a request's
+// latency spent before any worker took it.
+// ---------------------------------------------------------------------------
+
+TEST(Server, QueueWaitIsThePickupPartOfLatency) {
+  rt::Scheduler s(clean_cfg(2));
+  rt::ServerConfig sc;
+  sc.queue_capacity = 8;
+  sc.max_live = 1;
+  rt::TaskServer server(s, sc);
+
+  // The first request holds the only max_live slot until `go`, so every
+  // later one sits queued for at least the hold.
+  constexpr auto kHold = std::chrono::milliseconds(5);
+  std::atomic<bool> go{false};
+  std::vector<rt::RegionHandle> handles;
+  handles.push_back(server
+                        .submit([&go] {
+                          while (!go.load(std::memory_order_acquire)) {
+                            std::this_thread::yield();
+                          }
+                        })
+                        .handle);
+  for (int i = 0; i < 4; ++i) {
+    auto res = server.submit([] { (void)fib_task(12); });
+    ASSERT_TRUE(res.admitted);
+    handles.push_back(res.handle);
+  }
+  EXPECT_EQ(handles.back().queue_wait().count(), 0);  // not terminal yet
+  std::this_thread::sleep_for(kHold);
+  go.store(true, std::memory_order_release);
+  for (std::size_t i = 0; i < handles.size(); ++i) {
+    ASSERT_EQ(handles[i].wait(), rt::RequestStatus::completed);
+    EXPECT_GE(handles[i].queue_wait().count(), 0);
+    EXPECT_LE(handles[i].queue_wait(), handles[i].latency());
+    if (i > 0) {
+      EXPECT_GE(handles[i].queue_wait(), kHold);
+    }
+  }
+  server.drain();
+  auto late = server.submit([] {});
+  ASSERT_FALSE(late.admitted);
+  EXPECT_EQ(late.handle.queue_wait().count(), 0);
+  expect_conservation(server.stats());
+}
+
+// ---------------------------------------------------------------------------
 // Tentpole: weighted-share fairness — a heavier request is picked first
 // under contention (stride scheduling).
 // ---------------------------------------------------------------------------
@@ -429,6 +495,123 @@ TEST(Server, StopCancelsPendingAndLiveRequests) {
   EXPECT_FALSE(server.running());
   const rt::ServerStats st = server.stats();
   EXPECT_EQ(st.cancelled, 3u);
+  expect_conservation(st);
+}
+
+// ---------------------------------------------------------------------------
+// Idle workers block until woken: these guard against lost wakeups, not
+// timing. Each passes under a polling idle loop too.
+// ---------------------------------------------------------------------------
+
+TEST(Server, CappedQueueStartsWhenASlotFrees) {
+  rt::Scheduler s(clean_cfg(4));
+  rt::ServerConfig sc;
+  sc.queue_capacity = 8;
+  sc.max_live = 1;
+  rt::TaskServer server(s, sc);
+
+  std::atomic<bool> a_started{false};
+  std::atomic<bool> release_a{false};
+  auto a = server.submit([&] {
+    a_started.store(true, std::memory_order_release);
+    while (!release_a.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
+  });
+  ASSERT_TRUE(a.admitted);
+  std::atomic<bool> b_started{false};
+  std::atomic<bool> b_saw_a_done{false};
+  const rt::RegionHandle a_handle = a.handle;
+  auto b = server.submit([&, a_handle] {
+    b_saw_a_done.store(a_handle.done(), std::memory_order_relaxed);
+    b_started.store(true, std::memory_order_release);
+  });
+  ASSERT_TRUE(b.admitted);
+  finish_within(std::chrono::seconds(10), "CappedQueueStartsWhenASlotFrees",
+                [&] { return a_started.load(std::memory_order_acquire); });
+  // Three workers are free, but the cap holds B back while A runs.
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_FALSE(b_started.load(std::memory_order_acquire));
+  release_a.store(true, std::memory_order_release);
+  finish_within(std::chrono::seconds(10), "CappedQueueStartsWhenASlotFrees",
+                [&] { return b.handle.done(); });
+  EXPECT_EQ(a.handle.status(), rt::RequestStatus::completed);
+  EXPECT_EQ(b.handle.status(), rt::RequestStatus::completed);
+  EXPECT_TRUE(b_saw_a_done.load(std::memory_order_relaxed));
+  server.drain();
+  expect_conservation(server.stats());
+}
+
+TEST(Server, DrainAndStopWakeBlockedWorkers) {
+  rt::Scheduler s(clean_cfg(4));
+  for (const bool graceful : {true, false}) {
+    rt::TaskServer server(s, rt::ServerConfig{});
+    // One request brings every worker up; the pause lets them all go idle.
+    ASSERT_EQ(server.submit([] {}).handle.wait(),
+              rt::RequestStatus::completed);
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    std::atomic<bool> returned{false};
+    std::thread closer([&] {
+      if (graceful) {
+        server.drain();
+      } else {
+        server.stop();
+      }
+      returned.store(true, std::memory_order_release);
+    });
+    finish_within(std::chrono::seconds(2),
+                  graceful ? "DrainAndStopWakeBlockedWorkers: drain()"
+                           : "DrainAndStopWakeBlockedWorkers: stop()",
+                  [&] { return returned.load(std::memory_order_acquire); });
+    closer.join();
+    EXPECT_FALSE(server.running());
+    expect_conservation(server.stats());
+  }
+}
+
+TEST(Server, SubmitsFromManyThreadsAreNeverLost) {
+  rt::Scheduler s(clean_cfg(4));
+  constexpr int kClients = 3;
+  constexpr int kPerClient = 500;
+  rt::ServerConfig sc;
+  sc.queue_capacity = kClients * kPerClient;  // admission never rejects
+  sc.shed_on_overload = false;
+  rt::TaskServer server(s, sc);
+
+  std::vector<std::vector<rt::RegionHandle>> handles(kClients);
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&server, &mine = handles[static_cast<std::size_t>(c)], c] {
+      std::uint64_t rng = 0x5eedULL + static_cast<std::uint64_t>(c);
+      for (int i = 0; i < kPerClient; ++i) {
+        auto res = server.submit([] { (void)fib_task(8); });
+        mine.push_back(res.handle);
+        rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
+        std::this_thread::sleep_for(std::chrono::microseconds((rng >> 33) % 301));
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+  finish_within(std::chrono::seconds(30), "SubmitsFromManyThreadsAreNeverLost",
+                [&] {
+                  for (const auto& mine : handles) {
+                    for (const auto& h : mine) {
+                      if (!h.done()) return false;
+                    }
+                  }
+                  return true;
+                });
+  for (const auto& mine : handles) {
+    ASSERT_EQ(mine.size(), static_cast<std::size_t>(kPerClient));
+    for (const auto& h : mine) {
+      EXPECT_EQ(h.status(), rt::RequestStatus::completed);
+      EXPECT_TRUE(h.ledger_balanced());
+    }
+  }
+  server.drain();
+  const rt::ServerStats st = server.stats();
+  EXPECT_EQ(st.submitted, static_cast<std::uint64_t>(kClients * kPerClient));
+  EXPECT_EQ(st.completed, st.submitted);
   expect_conservation(st);
 }
 
