@@ -238,7 +238,7 @@ class DepScope {
     // once, from the moment it exists.
     ++w->stats.tasks_deferred;
     trace_record(w->ring, TraceEvent::spawn, t->depth(), 1);
-    if (RegionCtx* c = t->ctx()) c->note_deferred();
+    if (RegionCtx* c = t->ctx()) c->note_deferred(w->id);
     if (node->pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
       s.enqueue_released(*w, *t);
     }

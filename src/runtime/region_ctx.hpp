@@ -18,6 +18,9 @@
 //
 //   executed + discarded == deferred      (after the request has drained)
 //
+// The ledger is sharded by team worker (see "execution ledger" below), so a
+// request task pays no shared-line RMW for its accounting.
+//
 // The terminal state (RequestStatus) is decided exactly once by a CAS:
 // completed, cancelled, deadline_exceeded or rejected_overload — every
 // submitted request ends in exactly one of them, which is the conservation
@@ -25,11 +28,15 @@
 #pragma once
 
 #include <atomic>
+#include <cassert>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
+#include <memory>
 #include <mutex>
+
+#include "runtime/stats.hpp"
 
 namespace bots::rt {
 
@@ -79,8 +86,15 @@ enum class RequestStatus : std::uint8_t {
 
 class RegionCtx {
  public:
-  explicit RegionCtx(std::uint64_t id, std::uint32_t weight = 1) noexcept
-      : id_(id), weight_(weight == 0 ? 1u : weight) {}
+  /// `shards` is the team size (Scheduler::num_workers()): every worker id
+  /// that can run this request's tasks must be below it.
+  RegionCtx(std::uint64_t id, unsigned shards, std::uint32_t weight = 1)
+      : id_(id),
+        weight_(weight == 0 ? 1u : weight),
+        num_shards_(shards),
+        shards_(std::make_unique<LedgerShard[]>(shards)) {
+    assert(shards > 0);
+  }
 
   RegionCtx(const RegionCtx&) = delete;
   RegionCtx& operator=(const RegionCtx&) = delete;
@@ -144,34 +158,41 @@ class RegionCtx {
   // Mirrors the PR 6 region-wide invariant at request granularity: every
   // task deferred under this context is eventually dispatched exactly once,
   // as an execute or a discard, so after the request drains
-  // executed + discarded == deferred. The ledger counts; it does not join —
-  // the request ends when its frame reads exclusive (Scheduler::run_scope),
-  // and every ledger update of a task precedes its finish RMW on the frame's
-  // reference chain, so the ledger is final by then.
+  // executed + discarded == deferred.
+  //
+  // One cache-line shard per team worker. Only worker `w` writes shard `w`,
+  // with a relaxed load and a relaxed store (WorkerCounter): no lock-prefixed
+  // RMW and no line shared between writers. The index is asserted, never
+  // wrapped: two writers on one shard would lose counts. Readers sum the
+  // shards, and the sum is exact once the request is terminal. The ledger
+  // counts; it does not join — the request ends when its frame reads
+  // exclusive (Scheduler::run_scope), and:
+  //   (1) each update comes before its task's finish RMW in the writing
+  //       worker's program order (a deferred count before the spawner's,
+  //       an execute, discard or chunk before the dispatched task's);
+  //   (2) those finish RMWs are acq_rel on the parent's state word, so their
+  //       chain reaches the request frame;
+  //   (3) run_scope reads that frame exclusive (acquire) before finalize,
+  //       and done() readers acquire finalize's CAS.
+  // So every shard store happens-before any read of a terminal request.
 
-  void note_deferred() noexcept {
-    deferred_.fetch_add(1, std::memory_order_relaxed);
-  }
+  void note_deferred(unsigned worker) noexcept { ++shard(worker).deferred; }
   /// Bulk variant for graph replay: a frozen graph's node count is known up
-  /// front, so one RMW accounts the whole replayed population before any
+  /// front, so one store accounts the whole replayed population before any
   /// root is enqueued.
-  void note_deferred_bulk(std::uint64_t n) noexcept {
-    deferred_.fetch_add(n, std::memory_order_relaxed);
+  void note_deferred_bulk(unsigned worker, std::uint64_t n) noexcept {
+    shard(worker).deferred += n;
   }
-  void note_executed() noexcept {
-    executed_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void note_discarded() noexcept {
-    discarded_.fetch_add(1, std::memory_order_relaxed);
-  }
+  void note_executed(unsigned worker) noexcept { ++shard(worker).executed; }
+  void note_discarded(unsigned worker) noexcept { ++shard(worker).discarded; }
   [[nodiscard]] std::uint64_t deferred() const noexcept {
-    return deferred_.load(std::memory_order_relaxed);
+    return sum(&LedgerShard::deferred);
   }
   [[nodiscard]] std::uint64_t executed() const noexcept {
-    return executed_.load(std::memory_order_relaxed);
+    return sum(&LedgerShard::executed);
   }
   [[nodiscard]] std::uint64_t discarded() const noexcept {
-    return discarded_.load(std::memory_order_relaxed);
+    return sum(&LedgerShard::discarded);
   }
   /// Valid once the request is terminal and its subtree has drained.
   [[nodiscard]] bool ledger_balanced() const noexcept {
@@ -179,14 +200,14 @@ class RegionCtx {
   }
 
   // -- watchdog progress (per request) --------------------------------------
-  // Bumped on every dispatch and range chunk of this request's subtree; the
-  // server's monitor reports a per-request stall when it stops moving.
+  // Every deferred dispatch already bumps executed or discarded, so the
+  // separate tick counts only what dispatches nothing: range grain chunks
+  // and inline discards. The server's monitor reports a per-request stall
+  // when progress() stops moving.
 
-  void note_progress() noexcept {
-    progress_.fetch_add(1, std::memory_order_relaxed);
-  }
+  void note_progress(unsigned worker) noexcept { ++shard(worker).progress; }
   [[nodiscard]] std::uint64_t progress() const noexcept {
-    return progress_.load(std::memory_order_relaxed);
+    return executed() + discarded() + sum(&LedgerShard::progress);
   }
 
   // -- terminal state -------------------------------------------------------
@@ -253,15 +274,29 @@ class RegionCtx {
   }
 
  private:
+  struct alignas(cache_line_bytes) LedgerShard {
+    WorkerCounter deferred;
+    WorkerCounter executed;
+    WorkerCounter discarded;
+    WorkerCounter progress;
+  };
+  LedgerShard& shard(unsigned worker) noexcept {
+    assert(worker < num_shards_);
+    return shards_[worker];
+  }
+  std::uint64_t sum(WorkerCounter LedgerShard::*field) const noexcept {
+    std::uint64_t n = 0;
+    for (unsigned i = 0; i < num_shards_; ++i) n += shards_[i].*field;
+    return n;
+  }
+
   const std::uint64_t id_;
   const std::uint32_t weight_;
+  const unsigned num_shards_;
+  const std::unique_ptr<LedgerShard[]> shards_;
   std::atomic<std::uint8_t> cancel_state_{0};
   std::atomic<std::uint8_t> terminal_{
       static_cast<std::uint8_t>(RequestStatus::pending)};
-  std::atomic<std::uint64_t> deferred_{0};
-  std::atomic<std::uint64_t> executed_{0};
-  std::atomic<std::uint64_t> discarded_{0};
-  std::atomic<std::uint64_t> progress_{0};
   std::atomic<std::int64_t> latency_us_{0};
   mutable std::mutex wait_mutex_;
   mutable std::condition_variable wait_cv_;

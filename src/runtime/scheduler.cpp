@@ -695,7 +695,7 @@ void Scheduler::enqueue(Worker& w, Task& t) {
   // Per-request ledger (server mode): the task was counted into the queued
   // population of its request; execute_deferred will balance it with exactly
   // one executed or discarded. Null — and free — in ordinary regions.
-  if (RegionCtx* c = t.ctx()) c->note_deferred();
+  if (RegionCtx* c = t.ctx()) c->note_deferred(w.id);
   enqueue_released(w, t);
 }
 
@@ -765,7 +765,7 @@ void Scheduler::publish_range_half(Worker& w, Task& t) {
       // Same request ledger as enqueue, same ordering (the half is counted
       // before it becomes claimable); only the landing spot moves.
       ++w.stats.range_halves_redirected;
-      if (RegionCtx* c = t.ctx()) c->note_deferred();
+      if (RegionCtx* c = t.ctx()) c->note_deferred(w.id);
       trace_record(w.ring, TraceEvent::mailbox, topo_.node_of(t.owner()),
                    trace_pack_nodes(target, w.node));
       mailboxes_[target].push(&t);
@@ -796,10 +796,10 @@ Task* Scheduler::take_mailed(Worker& w, bool scavenge) {
 void Scheduler::execute_deferred(Worker& w, Task& t) {
   // Every deferred dispatch — execute or discard — funnels through here,
   // which makes this the single cancellation boundary for queued work and
-  // the watchdog's primary progress signal.
+  // the watchdog's primary progress signal. A request's stall monitor needs
+  // no tick here: the executed or discarded count below moves its progress.
   w.note_progress();
   RegionCtx* ctx = t.ctx();
-  if (ctx != nullptr) ctx->note_progress();
   if (((w.region != nullptr && w.region->cancelled()) ||
        (ctx != nullptr && ctx->cancelled())) &&
       t.range() == nullptr) {
@@ -812,7 +812,7 @@ void Scheduler::execute_deferred(Worker& w, Task& t) {
     // BOTH ledgers: the worker's (keeps the global executed + discarded ==
     // deferred invariant) and the request's.
     ++w.stats.tasks_discarded;
-    if (ctx != nullptr) ctx->note_discarded();
+    if (ctx != nullptr) ctx->note_discarded(w.id);
     t.destroy_env();
     finish_task(w, t);
     return;
@@ -829,7 +829,7 @@ void Scheduler::execute_deferred(Worker& w, Task& t) {
   w.inline_depth = 0;
   w.current = &t;
   ++w.stats.tasks_executed;
-  if (ctx != nullptr) ctx->note_executed();
+  if (ctx != nullptr) ctx->note_executed(w.id);
   const bool fail_body = inject(&w, FaultSite::task_body);
   try {
     if (fail_body) throw FaultInjected{};

@@ -1079,7 +1079,7 @@ void run_inline_fast(Worker& w, Tiedness tied, F&& f) {
     // queued sibling. Nothing to retire — this path never had a descriptor.
     ++w.stats.tasks_discarded_inline;
     if (w.current != nullptr && w.current->ctx() != nullptr) {
-      w.current->ctx()->note_progress();
+      w.current->ctx()->note_progress(w.id);
     }
     return;
   }

@@ -162,7 +162,8 @@ SubmitResult TaskServer::submit(std::function<void()> body,
                                 RequestOptions opts) {
   std::unique_lock<std::mutex> lock(mu_);
   ++stats_.submitted;
-  auto ctx = std::make_shared<RegionCtx>(++next_id_, opts.weight);
+  auto ctx = std::make_shared<RegionCtx>(++next_id_, sched_.num_workers(),
+                                         opts.weight);
   ctx->arrival = std::chrono::steady_clock::now();
   const std::uint32_t dl_ms =
       opts.deadline_ms != 0 ? opts.deadline_ms : cfg_.default_deadline_ms;
@@ -445,9 +446,10 @@ void TaskServer::monitor_main(const std::stop_token& st) {
           c->cancel(RegionStatus::deadline_exceeded);
         }
         if (!watchdog) continue;
-        auto [it, fresh] = watch.try_emplace(c->id(), Watch{c->progress(), now});
-        if (fresh) continue;
+        // progress() sums every shard of the request's ledger: read it once.
         const std::uint64_t p = c->progress();
+        auto [it, fresh] = watch.try_emplace(c->id(), Watch{p, now});
+        if (fresh) continue;
         if (p != it->second.progress) {
           it->second.progress = p;
           it->second.since = now;

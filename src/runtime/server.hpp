@@ -31,10 +31,17 @@
 //   only its own RegionCtx; sibling requests and the resident region never
 //   observe it. The PR 6 ledger invariant holds per request
 //   (executed + discarded == deferred, RegionHandle::ledger_balanced) on
-//   top of the global per-worker one.
+//   top of the global per-worker one. The request ledger has one
+//   cache-line shard per team worker (submit() sizes it from
+//   Scheduler::num_workers()); a worker writes only its own shard, with a
+//   relaxed load and store, and readers sum the shards. Each update comes
+//   before its task's finish RMW, whose acq_rel chain reaches the request's
+//   frame, and run_scope reads that frame before finalize: the sum is exact
+//   once the request is terminal (region_ctx.hpp).
 // * Per-request deadline + watchdog: the server's monitor thread cancels a
 //   request whose deadline passes (pending or live) and reports a live
-//   request whose progress counter stops moving.
+//   request whose progress (executed + discarded + range chunks and inline
+//   discards) stops moving.
 // * Graceful drain (drain()): admitted requests complete, new ones are
 //   rejected; stop() additionally cancels pending and live requests first.
 //   An external Scheduler::cancel_current_region() is the hard stop: the
@@ -211,7 +218,8 @@ class RegionHandle {
   [[nodiscard]] std::exception_ptr exception() const {
     return ctx_ ? ctx_->exception() : nullptr;
   }
-  // Per-request execution ledger (valid once done()).
+  // Per-request execution ledger, summed over the worker shards (exact
+  // once done()).
   [[nodiscard]] std::uint64_t tasks_deferred() const noexcept {
     return ctx_ ? ctx_->deferred() : 0;
   }

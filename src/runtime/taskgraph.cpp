@@ -124,7 +124,7 @@ void TaskGraph::replay(Worker& w) {
   w.stats.env_bytes += env_bytes_;
   // One record for the whole replayed graph (payload = node count).
   trace_record(w.ring, TraceEvent::spawn, n, 1);
-  if (replay_ctx_ != nullptr) replay_ctx_->note_deferred_bulk(n);
+  if (replay_ctx_ != nullptr) replay_ctx_->note_deferred_bulk(w.id, n);
   // Workers start from the recorded root frontier; interior nodes surface
   // through the finish-path successor walk exactly as their predecessors
   // retire (execute or discard — a cancelled replay drains by discards, and

@@ -202,7 +202,9 @@ struct RangeRunner {
         executed += stop - lo;
         lo = stop;
         w->note_progress();  // one watchdog tick per chunk peeled
-        if (ctx != nullptr) ctx->note_progress();  // per-request stall signal
+        // Per-request stall signal: a chunk dispatches no task, so the
+        // request's executed count does not move for it.
+        if (ctx != nullptr) ctx->note_progress(w->id);
       }
     } catch (...) {
       // The descriptor still completes (the scheduler captures the

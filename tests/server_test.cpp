@@ -13,6 +13,7 @@
 #include <functional>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -613,6 +614,147 @@ TEST(Server, SubmitsFromManyThreadsAreNeverLost) {
   EXPECT_EQ(st.submitted, static_cast<std::uint64_t>(kClients * kPerClient));
   EXPECT_EQ(st.completed, st.submitted);
   expect_conservation(st);
+}
+
+// ---------------------------------------------------------------------------
+// The per-request ledger counts every task exactly once, whichever worker
+// runs it. ledger_balanced() alone passes when an update is lost on both
+// sides, so these assert the counts themselves.
+// ---------------------------------------------------------------------------
+
+// Runs `body` as one request on a 4-worker server (cut-off none, so every
+// spawn is deferred) while three sibling requests keep the other workers
+// stealing until it is terminal, and returns the request's handle. The
+// request stays open until another worker has run one of its tasks, so its
+// ledger has more than one writer however the host schedules the threads.
+rt::RegionHandle run_with_thieves(
+    const std::function<void(const std::function<void()>&)>& body) {
+  rt::SchedulerConfig cfg = clean_cfg(4);
+  cfg.cutoff = rt::CutoffPolicy::none;
+  rt::Scheduler s(cfg);
+  rt::ServerConfig sc;
+  sc.queue_capacity = 8;
+  rt::TaskServer server(s, sc);
+
+  // Tasks run per worker, each slot written only by its worker.
+  struct alignas(64) Ran {
+    std::atomic<std::uint64_t> n{0};
+  };
+  std::array<Ran, 4> ran{};
+  const std::function<void()> task = [&ran] {
+    std::atomic<std::uint64_t>& n = ran[rt::detail::tls_worker->id].n;
+    n.store(n.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+  };
+  std::atomic<bool> done{false};
+  std::atomic<int> thieves{0};
+  std::vector<rt::RegionHandle> siblings;
+  for (int i = 0; i < 3; ++i) {
+    auto r = server.submit([&] {
+      thieves.fetch_add(1, std::memory_order_acq_rel);
+      while (!done.load(std::memory_order_acquire)) (void)s.help_one();
+    });
+    EXPECT_TRUE(r.admitted);
+    siblings.push_back(r.handle);
+  }
+  finish_within(std::chrono::seconds(10), "run_with_thieves: siblings up",
+                [&] { return thieves.load(std::memory_order_acquire) == 3; });
+  auto req = server.submit([&] {
+    const unsigned self = rt::detail::tls_worker->id;
+    body(task);
+    const auto stolen = [&] {
+      for (unsigned w = 0; w < ran.size(); ++w) {
+        if (w != self && ran[w].n.load(std::memory_order_relaxed) > 0) {
+          return true;
+        }
+      }
+      return false;
+    };
+    while (!stolen()) std::this_thread::yield();
+  });
+  EXPECT_TRUE(req.admitted);
+  finish_within(std::chrono::seconds(30), "run_with_thieves: request",
+                [&] { return req.handle.done(); });
+  done.store(true, std::memory_order_release);
+  for (auto& h : siblings) EXPECT_EQ(h.wait(), rt::RequestStatus::completed);
+  server.drain();
+  return req.handle;
+}
+
+constexpr std::uint64_t kLedgerTasks = 20000;
+
+TEST(Server, LedgerCountsEveryStolenTaskExactly) {
+  const rt::RegionHandle h = run_with_thieves([](const auto& task) {
+    for (std::uint64_t i = 0; i < kLedgerTasks; ++i) rt::spawn(task);
+  });
+  EXPECT_EQ(h.status(), rt::RequestStatus::completed);
+  EXPECT_EQ(h.tasks_deferred(), kLedgerTasks);
+  EXPECT_EQ(h.tasks_executed(), kLedgerTasks);
+  EXPECT_EQ(h.tasks_discarded(), 0u);
+}
+
+TEST(Server, LedgerCountsEveryTaskOfACancelledRequest) {
+  // The task that runs a quarter of the way through cancels the request:
+  // the spawn loop still defers all of them, and every one not yet
+  // dispatched is discarded.
+  std::atomic<std::uint64_t> started{0};
+  const rt::RegionHandle h = run_with_thieves([&started](const auto& task) {
+    for (std::uint64_t i = 0; i < kLedgerTasks; ++i) {
+      rt::spawn([&started, &task] {
+        task();
+        if (started.fetch_add(1, std::memory_order_relaxed) + 1 ==
+            kLedgerTasks / 4) {
+          rt::cancel_region();
+        }
+      });
+    }
+  });
+  EXPECT_EQ(h.status(), rt::RequestStatus::cancelled);
+  EXPECT_EQ(h.tasks_deferred(), kLedgerTasks);
+  EXPECT_EQ(h.tasks_executed() + h.tasks_discarded(), kLedgerTasks);
+  EXPECT_GE(h.tasks_executed(), kLedgerTasks / 4);
+  EXPECT_GT(h.tasks_discarded(), 0u);
+}
+
+// The monitor reports a live request whose progress (dispatches, range
+// chunks, inline discards) stops moving, and only that one.
+TEST(Server, StallReportNamesOnlyTheBlockedRequest) {
+  rt::Scheduler s(clean_cfg(4));
+  rt::ServerConfig sc;
+  sc.watchdog_ms = 50;
+  rt::TaskServer server(s, sc);
+
+  std::atomic<bool> release{false};
+  testing::internal::CaptureStderr();
+  // Blocked in its own body: no task of it is ever dispatched.
+  auto blocked = server.submit([&release] {
+    while (!release.load(std::memory_order_acquire) &&
+           !rt::cancellation_point()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  // Dispatches one task after another for as long.
+  auto busy = server.submit([&release] {
+    while (!release.load(std::memory_order_acquire) &&
+           !rt::cancellation_point()) {
+      rt::spawn([] {});
+      rt::taskwait();
+    }
+  });
+  ASSERT_TRUE(blocked.admitted);
+  ASSERT_TRUE(busy.admitted);
+  std::this_thread::sleep_for(std::chrono::milliseconds(400));
+  release.store(true, std::memory_order_release);
+  EXPECT_EQ(blocked.handle.wait(), rt::RequestStatus::completed);
+  EXPECT_EQ(busy.handle.wait(), rt::RequestStatus::completed);
+  server.drain();
+  const std::string err = testing::internal::GetCapturedStderr();
+  const auto stalled = [&err](const rt::RegionHandle& h) {
+    return err.find("SERVER STALL: request " + std::to_string(h.id()) +
+                    " no progress") != std::string::npos;
+  };
+  EXPECT_TRUE(stalled(blocked.handle)) << err;
+  EXPECT_FALSE(stalled(busy.handle)) << err;
+  EXPECT_GT(busy.handle.tasks_executed(), 0u);
 }
 
 // ---------------------------------------------------------------------------
