@@ -206,8 +206,9 @@ struct SchedulerConfig {
   /// upkeep, which drops the perfbench lines that still name it.
   std::uint32_t accounting_batch = 32;
 
-  /// Steal up to half of the victim's deque in one grab and keep the surplus
-  /// in the thief's own deque. Off: one task per steal (the seed behaviour).
+  /// Steal up to half of the victim's deque in one grab — the oldest task
+  /// and the run of its siblings behind it — and keep the surplus in the
+  /// thief's own deque. Off: one task per steal (the seed behaviour).
   bool steal_half = true;
   /// Upper bound on tasks taken by one batched steal.
   std::uint32_t steal_batch_max = 16;
@@ -216,8 +217,9 @@ struct SchedulerConfig {
   /// time (steals come in bursts from the same loaded worker).
   bool victim_affinity = true;
 
-  /// Park TSC-refused claims on per-worker lock-free inboxes instead of the
-  /// region-global mutex-protected overflow vector (the seed behaviour).
+  /// Park tasks the TSC refuses from a worker's own queue or a mailbox on
+  /// per-worker lock-free inboxes instead of the region-global
+  /// mutex-protected overflow vector (the seed behaviour).
   bool distributed_parking = true;
 
   /// Keep the newest spawned task in a private one-entry slot instead of the

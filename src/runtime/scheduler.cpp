@@ -91,6 +91,7 @@ Scheduler::Scheduler(SchedulerConfig cfg)
     workers_.back()->node = topo_.node_of(i);
     workers_.back()->victim_buf.resize(cfg_.num_threads);
     workers_.back()->returns.resize(cfg_.num_threads);
+    workers_.back()->heap_limbo.seen.resize(cfg_.num_threads);
   }
   if (cfg_.trace) {
     tracer_ = std::make_unique<TraceCollector>(cfg_.num_threads,
@@ -667,12 +668,42 @@ void Scheduler::dispose(Worker& w, Task& t) noexcept {
       break;
     }
     case TaskStorage::heap:
-      delete &t;
+      retire_heap(w, t);
       break;
     case TaskStorage::stack_frame:
       break;  // lifetime owned by a worker stack frame
     case TaskStorage::graph:
       break;  // owned by a frozen TaskGraph; re-armed on its next release
+  }
+}
+
+void Scheduler::retire_heap(Worker& w, Task& t) noexcept {
+  Worker::HeapLimbo& l = w.heap_limbo;
+  t.pool_next = l.fresh;
+  l.fresh = &t;
+  if (++l.fresh_count < Worker::HeapLimbo::batch) return;
+  const auto n = static_cast<unsigned>(workers_.size());
+  if (l.sealed != nullptr) {
+    // A worker whose raid_seq still reads the odd value seen at the seal
+    // is in the raid that may hold a sealed descriptor: try again later.
+    for (unsigned v = 0; v < n; ++v) {
+      const std::uint64_t s = l.seen[v];
+      if ((s & 1U) != 0 &&
+          workers_[v]->raid_seq.load(std::memory_order_acquire) == s) {
+        return;
+      }
+    }
+    Worker::HeapLimbo::delete_chain(l.sealed);
+  }
+  l.sealed = l.fresh;
+  l.fresh = nullptr;
+  l.fresh_count = 0;
+  // Pairs with the fence at the start of each raid (steal_work): a raid
+  // this scan reads as not running starts after it, sees `top` past every
+  // sealed descriptor's slot, and cannot reach a retired one.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  for (unsigned v = 0; v < n; ++v) {
+    l.seen[v] = workers_[v]->raid_seq.load(std::memory_order_acquire);
   }
 }
 
@@ -1226,7 +1257,7 @@ Task* Scheduler::claim_parked(Worker& w) {
   return nullptr;
 }
 
-Task* Scheduler::steal_work(Worker& w, bool& progress) {
+Task* Scheduler::steal_work(Worker& w) {
   const unsigned n = cfg_.num_threads;
   if (n <= 1) return nullptr;
   // One snapshot generation per steal round: victim order, batch caps and
@@ -1237,25 +1268,25 @@ Task* Scheduler::steal_work(Worker& w, bool& progress) {
   Task* batch[raid_max];
   const std::size_t base_cap =
       std::clamp<std::size_t>(cfg_.steal_batch_max, std::size_t{1}, raid_max);
-  // A raid returns the oldest stolen task (or parks it when the TSC refuses
-  // it) and pushes any surplus onto the thief's own deque, oldest first, so
-  // the next pop takes the newest, and the thief's own spawns land on top
-  // of it. A plain push, not enqueue_released: that would hide the newest
+  // A raid claims only a task this worker may run (the tsc_allows rule,
+  // checked before the claim) and the run of its siblings behind it, which
+  // share its parent and so are allowed too. It returns the oldest and
+  // pushes any surplus onto the thief's own deque, oldest first, so the
+  // next pop takes the newest, and the thief's own spawns land on top of
+  // it. A plain push, not enqueue_released: that would hide the newest
   // stolen task in the private slot. Surplus keeps the references it was
   // spawned with, so no accounting happens on this path.
   auto raid = [&](unsigned v) -> std::size_t {
     ++w.stats.steal_attempts;
     trace_record(w.ring, TraceEvent::steal_attempt, v);
-    // Batch only when unconstrained: a worker suspended inside a tied task
-    // may execute nothing but descendants of it, and a raided batch from an
-    // arbitrary victim is mostly non-descendants — it would go straight to
-    // the parked pool, turning one refusal into a batch of them. The cap
-    // per victim is the policy's call (hierarchical shrinks it across the
-    // interconnect).
-    const bool batched = cfg_.steal_half && w.tsc_top == nullptr;
+    // The cap per victim is the policy's call (hierarchical shrinks it
+    // across the interconnect).
     const std::size_t got = workers_[v]->deque.steal_batch(
-        batch, batched ? sp.policy->batch_cap(w, v, base_cap) : 1);
-    if (batched && got > 0) ++w.stats.steal_batches;
+        batch, cfg_.steal_half ? sp.policy->batch_cap(w, v, base_cap) : 1,
+        [&w](const Task& t) {  // tsc_allows, on a task not yet claimed
+          return w.tsc_top == nullptr || t.peek_descends_from(*w.tsc_top);
+        });
+    if (cfg_.steal_half && got > 0) ++w.stats.steal_batches;
     sp.policy->raided(w, v, got > 0);
     if (got == 0) return 0;
     w.stats.tasks_stolen += got;
@@ -1274,18 +1305,20 @@ Task* Scheduler::steal_work(Worker& w, bool& progress) {
     if (got > 1 && sp.hints != nullptr) sp.hints->publish(w.node);
     return got;
   };
-  auto settle = [&](Task* first) -> Task* {
-    progress = true;
-    if (tsc_allows(w, *first)) return first;
-    park_refused(w, first);
-    return nullptr;  // the caller loops back to the local phase
-  };
   // The probe ORDER is entirely the policy's decision (affinity hints,
-  // same-node-first tiers, rotation); this loop only executes it.
+  // same-node-first tiers, rotation); this loop only executes it. The
+  // raids run inside an odd raid_seq, which keeps heap descriptors they
+  // may read from being deleted (retire_heap).
+  const std::uint64_t seq = w.raid_seq.load(std::memory_order_relaxed);
+  w.raid_seq.store(seq + 1, std::memory_order_relaxed);
+  std::atomic_thread_fence(std::memory_order_seq_cst);
   const unsigned cnt = sp.policy->victim_order(w, w.victim_buf.data());
-  for (unsigned k = 0; k < cnt; ++k) {
-    if (raid(w.victim_buf[k])) return settle(batch[0]);
+  Task* stolen = nullptr;
+  for (unsigned k = 0; k < cnt && stolen == nullptr; ++k) {
+    if (raid(w.victim_buf[k])) stolen = batch[0];
   }
+  w.raid_seq.store(seq + 2, std::memory_order_release);
+  if (stolen != nullptr) return stolen;
   // Node-wide dryness check, only on a fully fruitless round: this
   // worker's local state is already empty (find_work precondition), so if
   // every home deque also looks empty — and nothing is waiting in the
@@ -1344,21 +1377,21 @@ Task* Scheduler::find_work(Worker& w) {
     // off the per-pop hot path — but before stealing, so a waiting ancestor
     // reaches its parked descendant on every idle round.
     if (Task* t = claim_parked(w)) return t;
-    // 3. Steal. A raid whose task the TSC refused (only a constrained raid,
-    // which takes one) made progress without returning one: loop back.
-    bool progress = false;
-    if (Task* t = steal_work(w, progress)) return t;
+    // 3. Steal: a raid claims only tasks this worker may run.
+    if (Task* t = steal_work(w)) return t;
     // 3.5 Liveness fallback for hint placement: before reporting idle,
     // sweep the OTHER nodes' mailboxes too — a mailed half must never
-    // strand behind a target node that stays busy in long task bodies.
-    if (!progress && mailboxes_ != nullptr) {
+    // strand behind a target node that stays busy in long task bodies. A
+    // refused half is parked, which is progress: loop back.
+    bool parked = false;
+    if (mailboxes_ != nullptr) {
       if (Task* t = take_mailed(w, /*scavenge=*/true)) {
         if (tsc_allows(w, *t)) return t;
         park_refused(w, t);
-        progress = true;
+        parked = true;
       }
     }
-    if (!progress) {
+    if (!parked) {
       // Nothing local, parked or stealable anywhere: a starvation signal
       // for the adaptive grain controllers (a coarse range schedule that
       // cannot split is the classic way a team ends up here). Each
@@ -1684,6 +1717,15 @@ std::vector<unsigned> Scheduler::plan_steal_order(unsigned worker) {
 //   above it on its worker;
 // * so waits cannot form a cycle, and following them from any waiting
 //   frame ends at a running task or at one its innermost waiter may claim.
+// Raids check the rule before they claim (steal_work passes it to
+// steal_batch) and leave a refused task in its victim's deque. That costs
+// no liveness: every scheduling point starts with the local phase, which
+// runs or parks everything in the worker's own slot and deque before it
+// claims parked work or steals, so every queued task is eventually popped
+// by its owner, and a raid never needs to take a task it cannot run to
+// uncover one behind it. The limit: this assumes the owner reaches a
+// scheduling point. A task body that blocks on another task without
+// reaching one leaves its worker's queue to thieves the rule permits.
 // Runtimes that can resume a suspended task elsewhere may exempt untied
 // tasks; this one cannot, so an untied task claimed on top of an unrelated
 // tied wait could strand its tied children on every worker.

@@ -20,8 +20,9 @@
 //   suspended at a wait on a worker, only its descendants may begin
 //   execution there — untied ones included, because a task started on top
 //   of a wait cannot move off it. A wait inside an untied task constrains
-//   nothing. Claims that fail the constraint are parked worker-locally and
-//   re-offered later.
+//   nothing. A raid checks the constraint before it claims a task and leaves
+//   a task it may not run where it is; a task the constraint refuses from
+//   the worker's own queue or a mailbox is parked and re-offered later.
 // * Regions end with a quiescence barrier: every explicit task created in
 //   the region has completed when run_* returns (the OpenMP guarantee that
 //   barriers complete all outstanding explicit tasks). A nested region and
@@ -59,15 +60,26 @@
 //   find_work drains the slot before the worker steals or reports no work,
 //   so a task can hide there only while its owner is between scheduling
 //   points — liveness and quiescence arguments see it like any queued task.
-// * Batched stealing: an unconstrained thief raids up to half the victim's
-//   deque in one coherence transfer (deque.hpp explains why it is one CAS
-//   *per task* but one cacheline transfer per raid), returns the oldest
-//   task and pushes the surplus onto its own deque, where its own children
-//   land on top of it and other thieves can steal it (constrained thieves —
-//   a suspended tied task — raid single tasks: a batch of non-descendants
-//   would land straight in the parked pool). A worker also remembers the
-//   last victim a steal succeeded from and tries it first (steals come in
-//   bursts from loaded workers).
+// * Batched stealing: a raid claims the victim's oldest task only if the
+//   thief may run it — the constraint is checked on the task before the
+//   claiming CAS, and a refused task stays queued — and then the run of its
+//   siblings behind it, up to half the victim's deque (deque.hpp explains
+//   why it is one CAS *per task* but one cacheline transfer per raid). The
+//   thief returns the oldest task and pushes the surplus onto its own deque,
+//   where its own children land on top of it and other thieves can steal
+//   it. Siblings of an allowed task are allowed too, so constrained thieves
+//   batch like the rest. Flood tasks, range halves and replayed graph nodes
+//   are siblings and batch in full; a recursive spawn tree queues one task
+//   per level, so its raids take one subtree each instead of several that
+//   the thief could only run one at a time once the first one waits. The
+//   look before the CAS may read a descriptor that is claimed and retired
+//   meanwhile: pooled descriptors stay allocated while the scheduler
+//   lives, and heap ones wait in a per-worker limbo until every raid that
+//   may hold them has ended (Scheduler::retire_heap). Not covered: a
+//   replayed graph node whose TaskGraph is destroyed, or a scope frame
+//   whose scope returns, inside one raid's window on a chain through it. A
+//   worker also remembers the last victim a steal succeeded from and tries
+//   it first (steals come in bursts from loaded workers).
 // * Policy layer: victim selection ORDER, steal-batch sizing and the
 //   range-split demand check are not decided here — steal_work probes the
 //   victims its StealPolicy (steal_policy.hpp) lists, with the batch cap the
@@ -123,19 +135,21 @@
 //   the idle node stops paying cross-node steal latency for work the busy
 //   node already knows it cannot drain. An idle-path sweep of all
 //   mailboxes keeps a mailed half from ever stranding.
-// * TSC parking: a claimed task the constraint refuses is pushed onto the
-//   claiming worker's lock-free parked inbox (a Treiber stack). Idle workers
-//   drain whole inboxes with one exchange(nullptr) — MPSC-style handoff —
-//   keep the first eligible task and republish the rest onto their own
-//   inbox. Progress: a parked task always sits in exactly one inbox except
-//   while a drainer transiently holds it, and the drainer either executes it
-//   or immediately republishes it; every find_work round scans all inboxes,
-//   so any worker the constraint permits finds a parked task on its next
-//   idle round. Every task a worker starts descends from its suspended tied
-//   top, so a worker waiting inside task P, tied or untied, may claim any
-//   pending descendant of P: the waited-on subtree is always claimable by
-//   the waiter itself, exactly as with the seed's global parking list
-//   (Scheduler::tsc_allows states why waits then cannot cycle).
+// * TSC parking: a task the constraint refuses from the worker's own LIFO
+//   slot, its own deque or a range mailbox is pushed onto the worker's
+//   lock-free parked inbox (a Treiber stack); a raid never parks, since it
+//   claims only allowed tasks. Idle workers drain whole inboxes with one
+//   exchange(nullptr) — MPSC-style handoff — keep the first eligible task
+//   and republish the rest onto their own inbox. Progress: a parked task
+//   always sits in exactly one inbox except while a drainer transiently
+//   holds it, and the drainer either executes it or immediately republishes
+//   it; every find_work round scans all inboxes, so any worker the
+//   constraint permits finds a parked task on its next idle round. Every
+//   task a worker starts descends from its suspended tied top, so a worker
+//   waiting inside task P, tied or untied, may claim any pending descendant
+//   of P: the waited-on subtree is always claimable by the waiter itself
+//   (Scheduler::tsc_allows states why waits then cannot cycle, and why a
+//   raid may leave refused tasks queued).
 //
 // Exceptions: a DEFERRED task's exception is captured into the region and
 // the first one is rethrown to the caller of run_single/run_all after the
@@ -387,6 +401,37 @@ class Worker {
   /// Descriptors currently parked across all of `returns` (drives the
   /// pool_migrations high-water stat).
   std::size_t stash_in_transit = 0;
+  /// Heap descriptors (TaskStorage::heap) this worker freed but has not
+  /// deleted yet, chained through Task::pool_next. A raid reads descriptors
+  /// it has not claimed (WorkStealingDeque::steal_batch), so a descriptor
+  /// retired while a raid may still reach it is deleted only once that raid
+  /// has ended (Scheduler::retire_heap): `sealed` was retired before `seen`
+  /// — every worker's raid_seq — was read, `fresh` after. Pooled
+  /// descriptors need none of this: their memory is never released while
+  /// the scheduler lives.
+  struct HeapLimbo {
+    static constexpr std::uint32_t batch = 64;
+    Task* fresh = nullptr;
+    std::uint32_t fresh_count = 0;
+    Task* sealed = nullptr;
+    std::vector<std::uint64_t> seen;  ///< sized to the team at construction
+
+    HeapLimbo() = default;
+    HeapLimbo(const HeapLimbo&) = delete;
+    HeapLimbo& operator=(const HeapLimbo&) = delete;
+    ~HeapLimbo() {
+      delete_chain(fresh);
+      delete_chain(sealed);
+    }
+    static void delete_chain(Task* t) noexcept {
+      while (t != nullptr) {
+        Task* next = t->pool_next;
+        delete t;
+        t = next;
+      }
+    }
+  };
+  HeapLimbo heap_limbo;
   /// Innermost tied task suspended at a wait on this worker, or nullptr:
   /// every claim must descend from it (Scheduler::tsc_allows). Every task
   /// started here obeyed that rule, so the tied tasks suspended below it
@@ -488,6 +533,11 @@ class Worker {
   /// through Task::pool_next. Padded so thieves' drains do not bounce the
   /// owner's hot state.
   alignas(cache_line_bytes) std::atomic<Task*> parked_inbox{nullptr};
+
+  /// Odd while this worker is inside a raid round (Scheduler::steal_work):
+  /// the window in which it may read descriptors it has not claimed. Own
+  /// cache line: written twice per round, read only by retire_heap.
+  alignas(cache_line_bytes) std::atomic<std::uint64_t> raid_seq{0};
 
   /// Epoch slot for the RCU snapshot protocol: 0 = quiescent (between
   /// regions), otherwise the snapshot version this worker has pinned.
@@ -894,6 +944,7 @@ class Scheduler {
   void wait_quiescent(std::uint64_t version) noexcept;
   void rebuild_mailboxes();
   void dispose(Worker& w, Task& t) noexcept;
+  void retire_heap(Worker& w, Task& t) noexcept;
   void flush_stash(Worker& w, unsigned owner) noexcept;
   void flush_outbound_stashes(Worker& w) noexcept;
   Task* take_mailed(Worker& w, bool scavenge);
@@ -901,7 +952,7 @@ class Scheduler {
   void restore_caller_mask() noexcept;
   void assert_between_regions() noexcept;
   Task* find_work(Worker& w);
-  Task* steal_work(Worker& w, bool& progress);
+  Task* steal_work(Worker& w);
   /// The idle loop of every wait: run a claimed task, or pay this worker's
   /// fold and back off, until `done()` holds.
   template <class Done>

@@ -160,16 +160,19 @@ bool TaskServer::shed_one_locked() {
 
 SubmitResult TaskServer::submit(std::function<void()> body,
                                 RequestOptions opts) {
-  std::unique_lock<std::mutex> lock(mu_);
-  ++stats_.submitted;
-  auto ctx = std::make_shared<RegionCtx>(++next_id_, sched_.num_workers(),
-                                         opts.weight);
+  // The context is built before mu_ is taken: every worker's pick and idle
+  // check take that lock too, and the allocation and clock read need none.
+  auto ctx = std::make_shared<RegionCtx>(
+      next_id_.fetch_add(1, std::memory_order_relaxed) + 1,
+      sched_.num_workers(), opts.weight);
   ctx->arrival = std::chrono::steady_clock::now();
   const std::uint32_t dl_ms =
       opts.deadline_ms != 0 ? opts.deadline_ms : cfg_.default_deadline_ms;
   if (dl_ms > 0) ctx->deadline = ctx->arrival + std::chrono::milliseconds(dl_ms);
   SubmitResult res;
   res.handle = RegionHandle(ctx);
+  std::unique_lock<std::mutex> lock(mu_);
+  ++stats_.submitted;
   if (!accepting_) {
     // Draining or stopped: permanent rejection, no retry hint.
     ++stats_.rejected;

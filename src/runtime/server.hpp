@@ -375,7 +375,7 @@ class TaskServer {
   bool accepting_ = false;                          // guarded by mu_
   bool draining_ = false;                           // guarded by mu_
   bool region_up_ = false;                          // guarded by mu_
-  std::uint64_t next_id_ = 0;                       // guarded by mu_
+  std::atomic<std::uint64_t> next_id_{0};  ///< ids unique, not queue-ordered
   std::uint64_t global_pass_ = 0;                   // guarded by mu_
   std::uint64_t ewma_service_us_ = 0;               // guarded by mu_
   unsigned idle_workers_ = 0;                       // guarded by mu_

@@ -57,7 +57,7 @@ namespace bots::rt {
   X(hungry_rounds, sum)           /* fruitless full find_work rounds */      \
   X(pinned, sum)                  /* 1 when pinned to its node's cpuset */   \
   X(taskwaits, sum)                                                          \
-  X(tsc_parked, sum)              /* claims parked by the TSC */             \
+  X(tsc_parked, sum)              /* local claims parked by the TSC */      \
   X(parked_claimed, sum)          /* parked tasks claimed back */            \
   X(acct_flushes, sum)            /* always 0; goes at benchmark upkeep */   \
   X(env_bytes, sum)               /* captured-environment bytes (Table II) */ \

@@ -207,6 +207,43 @@ TEST(Deque, StealBatchTakesTheLastElement) {
   EXPECT_EQ(d.pop(), nullptr);
 }
 
+TEST(Deque, BatchTakesOnlyASiblingRun) {
+  // a1, a2 share parent P; b1..b4 share Q. Half of the 6 queued is 3, but
+  // the batch stops at the first task that is not a sibling of the oldest.
+  rt::Task p;
+  rt::Task q;
+  TaskArena a(6);
+  for (std::size_t i = 0; i < 6; ++i) {
+    a.at(i)->set_links(i < 2 ? &p : &q, 1, rt::Tiedness::tied,
+                       rt::TaskStorage::stack_frame);
+  }
+  rt::WorkStealingDeque d;
+  for (std::size_t i = 0; i < 6; ++i) d.push(a.at(i));
+  rt::Task* out[8];
+  ASSERT_EQ(d.steal_batch(out, 8), 2u);
+  EXPECT_EQ(out[0], a.at(0));
+  EXPECT_EQ(out[1], a.at(1));
+  EXPECT_EQ(d.size_estimate(), 4);
+
+  // A refused oldest task leaves the deque as it was.
+  const auto refuse = [](const rt::Task&) { return false; };
+  EXPECT_EQ(d.steal_batch(out, 8, refuse), 0u);
+  EXPECT_EQ(d.size_estimate(), 4);
+  // An admission sees the oldest task; the Q run behind it follows it.
+  const rt::Task* seen = nullptr;
+  const auto watch = [&](const rt::Task& t) {
+    seen = &t;
+    return true;
+  };
+  ASSERT_EQ(d.steal_batch(out, 8, watch), 2u);
+  EXPECT_EQ(seen, a.at(2));
+  EXPECT_EQ(out[0], a.at(2));
+  EXPECT_EQ(out[1], a.at(3));
+  EXPECT_EQ(d.pop(), a.at(5));
+  EXPECT_EQ(d.pop(), a.at(4));
+  EXPECT_EQ(d.pop(), nullptr);
+}
+
 TEST(Deque, HoldsFewerThanSeesStealsAndPops) {
   // The owner's count starts from its private copy of top, which a steal
   // leaves stale: the query must still see the steal once the copy says
@@ -460,6 +497,24 @@ TEST(Task, DescendantChainWalk) {
   EXPECT_FALSE(child.is_descendant_of(grand));
   EXPECT_FALSE(grand.is_descendant_of(other));
   EXPECT_TRUE(root.is_descendant_of(root));
+}
+
+TEST(Task, PeekWalkIsBoundedByTheDepthGap) {
+  // A raid may read the chain of a descriptor re-linked under it: even a
+  // cyclic chain ends after depth() - ancestor.depth() hops.
+  rt::Task root;
+  root.set_links(nullptr, 0, rt::Tiedness::tied, rt::TaskStorage::stack_frame);
+  rt::Task child;
+  child.set_links(&root, 3, rt::Tiedness::tied, rt::TaskStorage::stack_frame);
+  rt::Task x;
+  rt::Task y;
+  x.set_links(&y, 5, rt::Tiedness::tied, rt::TaskStorage::stack_frame);
+  y.set_links(&x, 4, rt::Tiedness::tied, rt::TaskStorage::stack_frame);
+  EXPECT_FALSE(x.peek_descends_from(root));
+  EXPECT_TRUE(x.peek_descends_from(y));
+  EXPECT_TRUE(child.peek_descends_from(root));  // a depth gap (inline frames)
+  EXPECT_FALSE(root.peek_descends_from(child));
+  EXPECT_TRUE(root.peek_descends_from(root));
 }
 
 TEST(Task, InlineVsHeapEnvironmentThreshold) {

@@ -840,6 +840,58 @@ TEST(Scheduler, ThiefWaitRunsItsOwnChildrenFirst) {
   }
 }
 
+TEST(Scheduler, ConstrainedRaidLeavesIneligibleTopQueued) {
+  // Worker 1 waits inside tied A for its child C1, which worker 2 runs and
+  // holds until worker 0 has queued X1 (no descendant of A) at the top of
+  // its deque, and then for 50 ms more. Worker 1's raids in that window are
+  // constrained by A: they must leave X1 queued instead of claiming and
+  // parking it, and the wait still completes once C1 returns.
+  rt::SchedulerConfig cfg{.num_threads = 3, .cutoff = rt::CutoffPolicy::none};
+  cfg.fault_plan.clear();  // the full team, and every spawn deferred
+  rt::Scheduler s(cfg);
+  ASSERT_EQ(s.num_workers(), 3u);
+  constexpr auto limit = std::chrono::milliseconds(10000);
+  std::atomic<bool> c_spawned{false};
+  std::atomic<bool> c1_started{false};
+  std::atomic<bool> x_spawned{false};
+  std::atomic<bool> a_done{false};
+  std::atomic<int> x_ran{0};
+  s.run_all([&](unsigned id) {
+    if (id == 0) {
+      yield_until([&] { return c1_started.load(); }, limit);
+      for (int i = 0; i < 2; ++i) {  // X1 in the deque, X2 in the slot
+        rt::spawn(rt::Tiedness::tied, [&x_ran] { x_ran.fetch_add(1); });
+      }
+      x_spawned.store(true);
+      yield_until([&] { return a_done.load(); }, limit);
+    } else if (id == 1) {
+      rt::spawn(rt::Tiedness::tied, [&] {  // A
+        rt::spawn(rt::Tiedness::tied, [&] {  // C1, for worker 2
+          c1_started.store(true);
+          yield_until([&] { return x_spawned.load(); }, limit);
+          std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        });
+        rt::spawn(rt::Tiedness::tied, [] {});  // C2 pushes C1 to the deque
+        c_spawned.store(true);
+        yield_until([&] { return c1_started.load(); }, limit);
+        rt::taskwait();
+        a_done.store(true);
+      });
+      rt::taskwait();
+    } else {
+      // Enter the scheduler only once C1 is the one stealable task.
+      yield_until([&] { return c_spawned.load(); }, limit);
+    }
+  });
+  EXPECT_TRUE(a_done.load());
+  EXPECT_EQ(x_ran.load(), 2);
+  const auto st = s.stats();
+  EXPECT_GT(st.per_worker[1].steal_attempts, 0u);
+  EXPECT_EQ(st.total.tsc_parked, 0u)
+      << "a constrained raid claimed a task it may not run";
+  EXPECT_EQ(st.total.tasks_executed, st.total.tasks_deferred);
+}
+
 // ---------------------------------------------------------------------------
 // Cut-off policies.
 // ---------------------------------------------------------------------------
