@@ -18,17 +18,16 @@
 // thief's cache, so the follow-up CASes are core-local until the owner or
 // another thief intervenes.
 //
-// A raid looks at each task before its CAS and claims only what it wants:
-// the oldest task only if the caller's `admit` accepts it (the scheduler
-// passes its Task Scheduling Constraint), each later one only if it has the
-// same parent as the first. Reading an unclaimed slot's task is sound
-// because the slot's task was fully written before its push published it,
-// and a successful CAS proves nobody claimed that slot since `top` was
-// read — so the values the decision used were that task's. After a lost
-// CAS they are discarded. The task may have been claimed, run and its
-// descriptor reused meanwhile, which is why Task's parent and depth are
-// atomic_ref fields and its ancestry walk is bounded; the scheduler keeps
-// the memory itself alive across a raid (Scheduler::retire_heap).
+// A raid looks at each task before its CAS and claims only what the
+// caller's `want` accepts; it stops at the first task refused, which stays
+// queued. Reading an unclaimed slot's task is sound because the slot's task
+// was fully written before its push published it, and a successful CAS
+// proves nobody claimed that slot since `top` was read — so the values the
+// decision used were that task's. After a lost CAS they are discarded. The
+// task may have been claimed, run and its descriptor reused meanwhile, so
+// `want` may read only fields that tolerate that (Task's atomic_ref parent
+// and depth), and the memory it reads must outlive the raid
+// (Scheduler::await_raids).
 #pragma once
 
 #include <atomic>
@@ -38,7 +37,6 @@
 #include <vector>
 
 #include "runtime/config.hpp"
-#include "runtime/task.hpp"
 
 // ThreadSanitizer does not model std::atomic_thread_fence, so the
 // fence-published relaxed buffer slots of the PPoPP'13 orderings read as
@@ -61,10 +59,7 @@
 
 namespace bots::rt {
 
-/// steal_batch's default admission: every oldest task is wanted.
-struct AdmitAny {
-  bool operator()(const Task&) const noexcept { return true; }
-};
+class Task;
 
 class WorkStealingDeque {
  public:
@@ -158,15 +153,15 @@ class WorkStealingDeque {
 
   /// Any thread: steal up to `max_n` tasks from the top, bounded by half of
   /// the victim's observed queue (rounded up, so a 1-element deque is still
-  /// stealable). The oldest task is claimed only if `admit(task)` holds;
-  /// each later one only while it shares the first one's parent, so a batch
-  /// is a run of siblings. Returns the number of tasks written to `out`,
-  /// oldest first. Returns 0, leaving the deque as it was, when it looks
-  /// empty, `admit` refuses, or the first CAS race is lost; stops early
-  /// (keeping what it already claimed) at the first non-sibling or on any
-  /// later race loss.
-  template <class Admit = AdmitAny>
-  std::size_t steal_batch(Task** out, std::size_t max_n, Admit admit = {}) {
+  /// stealable). Each task is claimed only if `want(task, first)` holds,
+  /// where `first` is null for the oldest task and the batch's first task
+  /// after it. Returns the number of tasks written to `out`, oldest first.
+  /// Returns 0, leaving the deque as it was, when it looks empty, `want`
+  /// refuses the oldest task, or the first CAS race is lost; stops early
+  /// (keeping what it already claimed) at the first refusal or on any later
+  /// race loss.
+  template <class Want>
+  std::size_t steal_batch(Task** out, std::size_t max_n, Want want) {
     std::size_t got = 0;
     std::size_t limit = max_n;
     while (got < limit) {
@@ -185,11 +180,8 @@ class WorkStealingDeque {
       Task* item = a->get(top);
       // Under a stale `top` the slot can read empty (a grown ring copies
       // only the live range); the CAS would fail, so stop here as it would.
-      // A task refused here stays queued for whoever may run it.
-      if (item == nullptr ||
-          (got == 0 ? !admit(*item) : item->parent() != out[0]->parent())) {
-        break;
-      }
+      // A task refused here stays queued for whoever wants it.
+      if (item == nullptr || !want(*item, got == 0 ? nullptr : out[0])) break;
       if (!top_.compare_exchange_strong(top, top + 1,
                                         std::memory_order_seq_cst,
                                         std::memory_order_relaxed)) {

@@ -91,7 +91,6 @@ Scheduler::Scheduler(SchedulerConfig cfg)
     workers_.back()->node = topo_.node_of(i);
     workers_.back()->victim_buf.resize(cfg_.num_threads);
     workers_.back()->returns.resize(cfg_.num_threads);
-    workers_.back()->heap_limbo.seen.resize(cfg_.num_threads);
   }
   if (cfg_.trace) {
     tracer_ = std::make_unique<TraceCollector>(cfg_.num_threads,
@@ -679,31 +678,27 @@ void Scheduler::dispose(Worker& w, Task& t) noexcept {
 
 void Scheduler::retire_heap(Worker& w, Task& t) noexcept {
   Worker::HeapLimbo& l = w.heap_limbo;
-  t.pool_next = l.fresh;
-  l.fresh = &t;
-  if (++l.fresh_count < Worker::HeapLimbo::batch) return;
-  const auto n = static_cast<unsigned>(workers_.size());
-  if (l.sealed != nullptr) {
-    // A worker whose raid_seq still reads the odd value seen at the seal
-    // is in the raid that may hold a sealed descriptor: try again later.
-    for (unsigned v = 0; v < n; ++v) {
-      const std::uint64_t s = l.seen[v];
-      if ((s & 1U) != 0 &&
-          workers_[v]->raid_seq.load(std::memory_order_acquire) == s) {
-        return;
-      }
-    }
-    Worker::HeapLimbo::delete_chain(l.sealed);
-  }
-  l.sealed = l.fresh;
-  l.fresh = nullptr;
-  l.fresh_count = 0;
-  // Pairs with the fence at the start of each raid (steal_work): a raid
-  // this scan reads as not running starts after it, sees `top` past every
-  // sealed descriptor's slot, and cannot reach a retired one.
+  t.pool_next = l.retired;
+  l.retired = &t;
+  if (++l.count < Worker::HeapLimbo::batch) return;
+  await_raids();
+  Worker::HeapLimbo::delete_chain(l.retired);
+  l.retired = nullptr;
+  l.count = 0;
+}
+
+void Scheduler::await_raids() noexcept {
+  // Pairs with the fence at the start of each raid round (steal_work). A
+  // round this scan reads as not running starts after the fence, so its
+  // loads of `top` and `bottom` see every claim that happened before this
+  // call: it cannot reach a claimed task, nor the chain above one. A round
+  // it reads as running is waited out; rounds are short and never block.
   std::atomic_thread_fence(std::memory_order_seq_cst);
-  for (unsigned v = 0; v < n; ++v) {
-    l.seen[v] = workers_[v]->raid_seq.load(std::memory_order_acquire);
+  for (const auto& v : workers_) {
+    const std::uint64_t seq = v->raid_seq.load(std::memory_order_acquire);
+    if ((seq & 1U) == 0) continue;
+    Backoff bo;
+    while (v->raid_seq.load(std::memory_order_acquire) == seq) bo.pause();
   }
 }
 
@@ -1122,6 +1117,9 @@ void Scheduler::barrier_from(Worker& w) {
       while (open < r.team_size && roots_[open]->exclusive()) ++open;
       return open == r.team_size;
     });
+    // At a region's end the roots die once the team leaves: a raid that
+    // looked at a task since claimed may still be walking up to one.
+    await_raids();
     r.arrived.store(0, std::memory_order_relaxed);
     r.barrier_gen.fetch_add(1, std::memory_order_release);
   } else {
@@ -1158,6 +1156,9 @@ std::exception_ptr Scheduler::run_scope(Worker& w, Tiedness tied,
     eptr = std::current_exception();
   }
   join_subtree(w);
+  // The frame dies with this call: a raid that looked at one of its
+  // children before that child was claimed may still be walking up to it.
+  await_raids();
   w.current = parent;
   w.charge = prev_charge;
   w.inline_depth = prev_inline;
@@ -1280,10 +1281,13 @@ Task* Scheduler::steal_work(Worker& w) {
     ++w.stats.steal_attempts;
     trace_record(w.ring, TraceEvent::steal_attempt, v);
     // The cap per victim is the policy's call (hierarchical shrinks it
-    // across the interconnect).
+    // across the interconnect). The oldest task must pass tsc_allows
+    // (peeked: it is not claimed yet); each later one must share its
+    // parent.
     const std::size_t got = workers_[v]->deque.steal_batch(
         batch, cfg_.steal_half ? sp.policy->batch_cap(w, v, base_cap) : 1,
-        [&w](const Task& t) {  // tsc_allows, on a task not yet claimed
+        [&w](const Task& t, const Task* first) {
+          if (first != nullptr) return t.parent() == first->parent();
           return w.tsc_top == nullptr || t.peek_descends_from(*w.tsc_top);
         });
     if (cfg_.steal_half && got > 0) ++w.stats.steal_batches;
@@ -1307,8 +1311,8 @@ Task* Scheduler::steal_work(Worker& w) {
   };
   // The probe ORDER is entirely the policy's decision (affinity hints,
   // same-node-first tiers, rotation); this loop only executes it. The
-  // raids run inside an odd raid_seq, which keeps heap descriptors they
-  // may read from being deleted (retire_heap).
+  // raids run inside an odd raid_seq: memory they may read is not released
+  // until the round ends (await_raids).
   const std::uint64_t seq = w.raid_seq.load(std::memory_order_relaxed);
   w.raid_seq.store(seq + 1, std::memory_order_relaxed);
   std::atomic_thread_fence(std::memory_order_seq_cst);

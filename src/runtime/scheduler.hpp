@@ -72,14 +72,16 @@
 //   are siblings and batch in full; a recursive spawn tree queues one task
 //   per level, so its raids take one subtree each instead of several that
 //   the thief could only run one at a time once the first one waits. The
-//   look before the CAS may read a descriptor that is claimed and retired
-//   meanwhile: pooled descriptors stay allocated while the scheduler
-//   lives, and heap ones wait in a per-worker limbo until every raid that
-//   may hold them has ended (Scheduler::retire_heap). Not covered: a
-//   replayed graph node whose TaskGraph is destroyed, or a scope frame
-//   whose scope returns, inside one raid's window on a chain through it. A
-//   worker also remembers the last victim a steal succeeded from and tries
-//   it first (steals come in bursts from loaded workers).
+//   look before the CAS may read a task, and the chain above it, that is
+//   claimed and finished meanwhile. Pooled descriptors stay allocated
+//   while the scheduler lives; everything else a chain can pass through is
+//   released only after Scheduler::await_raids has waited out the raid
+//   rounds running at that moment — heap descriptors a batch at a time
+//   (retire_heap), a scope frame when run_scope returns, the region's root
+//   frames at its end barrier, and a TaskGraph's nodes when it re-records
+//   or dies. Each round marks itself in a per-worker raid_seq, odd while
+//   it runs. A worker also remembers the last victim a steal succeeded
+//   from and tries it first (steals come in bursts from loaded workers).
 // * Policy layer: victim selection ORDER, steal-batch sizing and the
 //   range-split demand check are not decided here — steal_work probes the
 //   victims its StealPolicy (steal_policy.hpp) lists, with the batch cap the
@@ -403,26 +405,19 @@ class Worker {
   std::size_t stash_in_transit = 0;
   /// Heap descriptors (TaskStorage::heap) this worker freed but has not
   /// deleted yet, chained through Task::pool_next. A raid reads descriptors
-  /// it has not claimed (WorkStealingDeque::steal_batch), so a descriptor
-  /// retired while a raid may still reach it is deleted only once that raid
-  /// has ended (Scheduler::retire_heap): `sealed` was retired before `seen`
-  /// — every worker's raid_seq — was read, `fresh` after. Pooled
-  /// descriptors need none of this: their memory is never released while
-  /// the scheduler lives.
+  /// it has not claimed (WorkStealingDeque::steal_batch), so they are deleted
+  /// a batch at a time, once the raids that may still reach them have ended
+  /// (Scheduler::retire_heap). Pooled descriptors need none of this: their
+  /// memory is never released while the scheduler lives.
   struct HeapLimbo {
     static constexpr std::uint32_t batch = 64;
-    Task* fresh = nullptr;
-    std::uint32_t fresh_count = 0;
-    Task* sealed = nullptr;
-    std::vector<std::uint64_t> seen;  ///< sized to the team at construction
+    Task* retired = nullptr;
+    std::uint32_t count = 0;
 
     HeapLimbo() = default;
     HeapLimbo(const HeapLimbo&) = delete;
     HeapLimbo& operator=(const HeapLimbo&) = delete;
-    ~HeapLimbo() {
-      delete_chain(fresh);
-      delete_chain(sealed);
-    }
+    ~HeapLimbo() { delete_chain(retired); }
     static void delete_chain(Task* t) noexcept {
       while (t != nullptr) {
         Task* next = t->pool_next;
@@ -536,7 +531,7 @@ class Worker {
 
   /// Odd while this worker is inside a raid round (Scheduler::steal_work):
   /// the window in which it may read descriptors it has not claimed. Own
-  /// cache line: written twice per round, read only by retire_heap.
+  /// cache line: written twice per round, read only by await_raids.
   alignas(cache_line_bytes) std::atomic<std::uint64_t> raid_seq{0};
 
   /// Epoch slot for the RCU snapshot protocol: 0 = quiescent (between
@@ -908,6 +903,12 @@ class Scheduler {
   /// taskgraph.cpp). Graphs live for the scheduler's lifetime; validity is
   /// governed by graph_epoch(), not by eviction.
   [[nodiscard]] TaskGraph& find_or_create_graph(const std::string& tag);
+  /// Wait out every raid round running now. A raid reads tasks it has not
+  /// claimed and the parent chains above them (WorkStealingDeque::
+  /// steal_batch), so memory a chain may pass through — a heap descriptor,
+  /// a scope or root frame, a graph's nodes — is released only after this
+  /// returns, and only once every task under it has been claimed.
+  void await_raids() noexcept;
 
  private:
   friend struct Region;

@@ -120,21 +120,29 @@ class Task {
   void set_range(RangeDesc* r) noexcept { range_ = r; }
 
   // -- intrusive state ------------------------------------------------------
-  // parent_ and depth_ are read and written through relaxed atomic_refs
-  // (plain moves on x86): a raid reads them on a descriptor it has not
-  // claimed yet (WorkStealingDeque::steal_batch), which may be claimed,
-  // retired and re-linked under it. The reader discards those values when
-  // its claim fails; the atomics only make that window a non-race.
-  Task* parent() const noexcept { return load_relaxed(parent_); }
-  std::uint32_t depth() const noexcept { return load_relaxed(depth_); }
+  // parent_ and depth_ are read and written through atomic_refs (plain
+  // moves on x86): a raid reads them on a descriptor it has not claimed yet
+  // (WorkStealingDeque::steal_batch), which may be claimed, retired and
+  // re-linked under it. The reader discards those values when its claim
+  // fails; the atomics only make that window a non-race. The parent link is
+  // stored last with release and loaded with acquire, so a walk that
+  // follows a freshly re-linked descriptor still reads a parent whose
+  // construction and links happen-before it.
+  Task* parent() const noexcept {
+    return std::atomic_ref<Task*>(const_cast<Task*&>(parent_))
+        .load(std::memory_order_acquire);
+  }
+  std::uint32_t depth() const noexcept {
+    return std::atomic_ref<std::uint32_t>(const_cast<std::uint32_t&>(depth_))
+        .load(std::memory_order_relaxed);
+  }
   Tiedness tiedness() const noexcept { return tied_; }
   std::uint32_t env_bytes() const noexcept { return env_bytes_; }
   TaskStorage storage() const noexcept { return storage_; }
 
   void set_links(Task* parent, std::uint32_t depth, Tiedness t,
                  TaskStorage storage) noexcept {
-    store_relaxed(parent_, parent);
-    store_relaxed(depth_, depth);
+    store_links(parent, depth);
     tied_ = t;
     storage_ = storage;
     // A task belongs to its parent's request context (server mode): the
@@ -266,8 +274,7 @@ class Task {
   /// reference and no children, for its next dispatch. Tiedness, storage,
   /// dep node and the recorded closure stay from the recording.
   void rearm(Task* parent, std::uint32_t depth, RegionCtx* ctx) noexcept {
-    store_relaxed(parent_, parent);
-    store_relaxed(depth_, depth);
+    store_links(parent, depth);
     ctx_ = ctx;
     state_.store(ref_one, std::memory_order_relaxed);
   }
@@ -326,14 +333,10 @@ class Task {
   template <class Fn>
   friend struct detail::TaskOpsFor;
 
-  template <class T>
-  static T load_relaxed(const T& field) noexcept {
-    return std::atomic_ref<T>(const_cast<T&>(field))
-        .load(std::memory_order_relaxed);
-  }
-  template <class T>
-  static void store_relaxed(T& field, T value) noexcept {
-    std::atomic_ref<T>(field).store(value, std::memory_order_relaxed);
+  void store_links(Task* parent, std::uint32_t depth) noexcept {
+    std::atomic_ref<std::uint32_t>(depth_).store(depth,
+                                                 std::memory_order_relaxed);
+    std::atomic_ref<Task*>(parent_).store(parent, std::memory_order_release);
   }
 
   const TaskOps* ops_ = nullptr;

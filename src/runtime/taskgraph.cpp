@@ -10,8 +10,9 @@ namespace bots::rt {
 // Recording
 // ---------------------------------------------------------------------------
 
-void TaskGraph::begin_record(const void* key) {
+void TaskGraph::begin_record(Worker& w, const void* key) {
   clear_nodes();
+  sched_ = w.sched;
   rec_edges_.clear();
   succ_storage_.clear();
   roots_.clear();
@@ -23,6 +24,10 @@ void TaskGraph::begin_record(const void* key) {
 }
 
 void TaskGraph::clear_nodes() noexcept {
+  if (count_ == 0) return;
+  // Every node has been claimed, but a raid that looked at one while it was
+  // queued may still be reading it.
+  if (sched_ != nullptr) sched_->await_raids();
   for (std::uint32_t i = 0; i < count_; ++i) node(i).task.destroy_graph_env();
   chunks_.clear();
   count_ = 0;
@@ -106,6 +111,7 @@ void TaskGraph::arm(Node& n) noexcept {
 
 void TaskGraph::replay(Worker& w) {
   Scheduler& s = *w.sched;
+  sched_ = &s;
   ++w.stats.graphs_replayed;
   ++replays_;
   if (count_ == 0) return;
@@ -165,7 +171,7 @@ void run_graph_region(Scheduler& s, TaskGraph& g, const void* key,
     g.replay(*w);
     return;
   }
-  g.begin_record(key);
+  g.begin_record(*w, key);
   {
     DepScope sc(&g);
     build(sc);

@@ -62,6 +62,8 @@ class TaskGraph final : public GraphRecorder {
   TaskGraph() = default;
   TaskGraph(const TaskGraph&) = delete;
   TaskGraph& operator=(const TaskGraph&) = delete;
+  /// A graph that has run must die before the scheduler it ran under:
+  /// freeing its nodes waits out that scheduler's raids.
   ~TaskGraph() { clear_nodes(); }
 
   [[nodiscard]] bool frozen() const noexcept { return frozen_; }
@@ -77,8 +79,8 @@ class TaskGraph final : public GraphRecorder {
   [[nodiscard]] std::uint64_t replays() const noexcept { return replays_; }
 
   /// Drop any previous contents and start capturing a new recording bound
-  /// to `key`.
-  void begin_record(const void* key);
+  /// to `key`, dispatched by `w`'s scheduler.
+  void begin_record(Worker& w, const void* key);
   /// Bake the captured structure: CSR successor table, predecessor counts,
   /// root frontier, environment bytes, epoch + key stamp. No-op (stays
   /// un-frozen) when the recording aborted.
@@ -110,7 +112,8 @@ class TaskGraph final : public GraphRecorder {
   /// Set node `n` up for this replay's dispatch; its releaser calls this
   /// just before enqueueing it.
   void arm(Node& n) noexcept;
-  /// Destroy every recorded closure and drop the nodes.
+  /// Destroy every recorded closure and drop the nodes, once no raid of
+  /// the scheduler that dispatched them can still be reading one.
   void clear_nodes() noexcept;
 
   std::vector<std::unique_ptr<Node[]>> chunks_;
@@ -126,6 +129,7 @@ class TaskGraph final : public GraphRecorder {
   Task* replay_parent_ = nullptr;
   RegionCtx* replay_ctx_ = nullptr;
   std::uint32_t replay_depth_ = 0;
+  Scheduler* sched_ = nullptr;  ///< the scheduler that last dispatched nodes
   const void* key_ = nullptr;
   std::uint64_t epoch_ = 0;
   std::uint64_t replays_ = 0;

@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -352,6 +353,85 @@ TEST(TaskGraphReplay, DifferentKeyForcesReRecord) {
   EXPECT_EQ(s.stats().total.graphs_recorded, 2u);
   EXPECT_EQ(s.stats().total.graphs_replayed, 0u);
   EXPECT_EQ(a, b);
+}
+
+TEST(TaskGraphReplay, ReRecordingWaitsOutRaidsOnTheOldNodes) {
+  // Worker 0 alternates keys, so every invocation re-records and frees the
+  // previous recording's nodes. Worker 1 meanwhile waits in tied task W for
+  // a child that worker 2 holds until the loop ends: its raids are
+  // constrained by W and look at worker 0's queued nodes without ever
+  // claiming one (no node descends from W), and nothing else it does
+  // orders those looks before worker 0's next recording. The old nodes
+  // must outlive every raid that may still read them: under TSAN a node
+  // freed under a raid is a race with the free, under ASan a
+  // heap-use-after-free.
+  rt::SchedulerConfig cfg = clean_cfg(3);
+  cfg.cutoff = rt::CutoffPolicy::none;
+  rt::Scheduler s(cfg);
+  ASSERT_EQ(s.num_workers(), 3u);
+  // Few nodes, many recordings: TSAN checks a freed block's first KiB only.
+  constexpr std::size_t kNodes = 4;
+  constexpr int kRuns = 400;
+  constexpr auto kLimit = std::chrono::seconds(10);
+  const auto yield_until = [kLimit](const auto& done) {
+    const auto until = std::chrono::steady_clock::now() + kLimit;
+    while (!done() && std::chrono::steady_clock::now() < until) {
+      std::this_thread::yield();
+    }
+  };
+  std::vector<std::uint64_t> a(kNodes, 0), b(kNodes, 0);
+  const auto wide = [](std::vector<std::uint64_t>* cells) {
+    return [cells](rt::DepScope& sc) {
+      auto& v = *cells;
+      for (std::size_t i = 0; i < v.size(); ++i) {
+        sc.spawn({rt::inout(v[i])}, [&v, i] {
+          // Long enough that worker 1's raids find nodes queued.
+          const auto until =
+              std::chrono::steady_clock::now() + std::chrono::microseconds(20);
+          while (std::chrono::steady_clock::now() < until) {
+          }
+          v[i] += 1;
+        });
+      }
+    };
+  };
+  const std::function<void(rt::DepScope&)> build_a = wide(&a);
+  const std::function<void(rt::DepScope&)> build_b = wide(&b);
+  rt::TaskGraph g;
+  std::atomic<bool> looping{true};
+  std::atomic<bool> held{false};
+  s.run_all([&](unsigned id) {
+    if (id == 0) {
+      yield_until([&] { return held.load(); });
+      for (int run = 0; run < kRuns; ++run) {
+        if (run % 2 == 0) {
+          rt::run_graph_region(s, g, &a, build_a);
+        } else {
+          rt::run_graph_region(s, g, &b, build_b);
+        }
+      }
+      looping.store(false);
+    } else if (id == 1) {
+      rt::spawn(rt::Tiedness::tied, [&] {  // W
+        rt::spawn(rt::Tiedness::tied, [&] {
+          held.store(true);
+          yield_until([&] { return !looping.load(); });
+        });
+        rt::spawn(rt::Tiedness::tied, [] {});  // pushes the holder to the deque
+        yield_until([&] { return held.load(); });
+        rt::taskwait();
+      });
+      rt::taskwait();
+    }
+  });
+  EXPECT_TRUE(held.load());
+  EXPECT_GT(s.stats().per_worker[1].steal_attempts, 0u);
+  const auto half = static_cast<std::uint64_t>(kRuns / 2);
+  EXPECT_EQ(a, std::vector<std::uint64_t>(kNodes, half));
+  EXPECT_EQ(b, std::vector<std::uint64_t>(kNodes, half));
+  EXPECT_EQ(s.stats().total.graphs_recorded, static_cast<std::uint64_t>(kRuns));
+  EXPECT_EQ(s.stats().total.graphs_replayed, 0u);
+  expect_accounting_balanced(s.stats());
 }
 
 TEST(TaskGraphReplay, TagRegistryRoutesRepeatInvocations) {

@@ -163,10 +163,13 @@ TEST(Deque, ConcurrentStealClaimsEachTaskOnce) {
 // steal_batch.
 // ---------------------------------------------------------------------------
 
+/// A steal_batch `want` that takes every task it is offered.
+constexpr auto take_all = [](const rt::Task&, const rt::Task*) { return true; };
+
 TEST(Deque, StealBatchFromEmptyIsZero) {
   rt::WorkStealingDeque d;
   rt::Task* out[8];
-  EXPECT_EQ(d.steal_batch(out, 8), 0u);
+  EXPECT_EQ(d.steal_batch(out, 8, take_all), 0u);
 }
 
 TEST(Deque, StealBatchTakesHalfOldestFirst) {
@@ -175,7 +178,7 @@ TEST(Deque, StealBatchTakesHalfOldestFirst) {
   for (std::size_t i = 0; i < 8; ++i) d.push(a.at(i));
   rt::Task* out[16];
   // Asks for more than available: bounded by half of the observed 8.
-  const std::size_t got = d.steal_batch(out, 16);
+  const std::size_t got = d.steal_batch(out, 16, take_all);
   ASSERT_EQ(got, 4u);
   for (std::size_t i = 0; i < got; ++i) EXPECT_EQ(out[i], a.at(i));
   // The owner still holds the newer half.
@@ -189,7 +192,7 @@ TEST(Deque, StealBatchRespectsMaxN) {
   TaskArena a(100);
   for (std::size_t i = 0; i < 100; ++i) d.push(a.at(i));
   rt::Task* out[3];
-  const std::size_t got = d.steal_batch(out, 3);
+  const std::size_t got = d.steal_batch(out, 3, take_all);
   ASSERT_EQ(got, 3u);
   EXPECT_EQ(out[0], a.at(0));
   EXPECT_EQ(out[2], a.at(2));
@@ -202,14 +205,15 @@ TEST(Deque, StealBatchTakesTheLastElement) {
   TaskArena a(1);
   d.push(a.at(0));
   rt::Task* out[4];
-  ASSERT_EQ(d.steal_batch(out, 4), 1u);
+  ASSERT_EQ(d.steal_batch(out, 4, take_all), 1u);
   EXPECT_EQ(out[0], a.at(0));
   EXPECT_EQ(d.pop(), nullptr);
 }
 
 TEST(Deque, BatchTakesOnlyASiblingRun) {
   // a1, a2 share parent P; b1..b4 share Q. Half of the 6 queued is 3, but
-  // the batch stops at the first task that is not a sibling of the oldest.
+  // a batch whose `want` is the scheduler's sibling rule stops at the first
+  // task that is not a sibling of the oldest.
   rt::Task p;
   rt::Task q;
   TaskArena a(6);
@@ -219,24 +223,24 @@ TEST(Deque, BatchTakesOnlyASiblingRun) {
   }
   rt::WorkStealingDeque d;
   for (std::size_t i = 0; i < 6; ++i) d.push(a.at(i));
+  const rt::Task* oldest = nullptr;
+  const auto siblings = [&](const rt::Task& t, const rt::Task* first) {
+    if (first == nullptr) oldest = &t;
+    return first == nullptr || t.parent() == first->parent();
+  };
   rt::Task* out[8];
-  ASSERT_EQ(d.steal_batch(out, 8), 2u);
+  ASSERT_EQ(d.steal_batch(out, 8, siblings), 2u);
   EXPECT_EQ(out[0], a.at(0));
   EXPECT_EQ(out[1], a.at(1));
   EXPECT_EQ(d.size_estimate(), 4);
 
   // A refused oldest task leaves the deque as it was.
-  const auto refuse = [](const rt::Task&) { return false; };
+  const auto refuse = [](const rt::Task&, const rt::Task*) { return false; };
   EXPECT_EQ(d.steal_batch(out, 8, refuse), 0u);
   EXPECT_EQ(d.size_estimate(), 4);
-  // An admission sees the oldest task; the Q run behind it follows it.
-  const rt::Task* seen = nullptr;
-  const auto watch = [&](const rt::Task& t) {
-    seen = &t;
-    return true;
-  };
-  ASSERT_EQ(d.steal_batch(out, 8, watch), 2u);
-  EXPECT_EQ(seen, a.at(2));
+  // `want` sees the oldest task with no first; the Q run behind it follows.
+  ASSERT_EQ(d.steal_batch(out, 8, siblings), 2u);
+  EXPECT_EQ(oldest, a.at(2));
   EXPECT_EQ(out[0], a.at(2));
   EXPECT_EQ(out[1], a.at(3));
   EXPECT_EQ(d.pop(), a.at(5));
@@ -288,7 +292,7 @@ TEST(Deque, ConcurrentStealBatchClaimsEachTaskOnce) {
       auto raid = [&] {
         std::size_t n = 0;
         if (i % 2 == 0) {
-          n = d.steal_batch(batch, 16);
+          n = d.steal_batch(batch, 16, take_all);
         } else if (rt::Task* t = d.steal()) {
           batch[0] = t;
           n = 1;
@@ -364,7 +368,7 @@ TEST(Deque, CachedTopGrowsUnderConcurrentStealBatch) {
     thieves.emplace_back([&] {
       rt::Task* batch[8];
       auto raid = [&] {
-        const std::size_t n = d.steal_batch(batch, 8);
+        const std::size_t n = d.steal_batch(batch, 8, take_all);
         for (std::size_t k = 0; k < n; ++k) claim(batch[k]);
         stolen.fetch_add(n, std::memory_order_relaxed);
       };

@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <mutex>
 #include <numeric>
 #include <set>
@@ -890,6 +891,54 @@ TEST(Scheduler, ConstrainedRaidLeavesIneligibleTopQueued) {
   EXPECT_EQ(st.total.tsc_parked, 0u)
       << "a constrained raid claimed a task it may not run";
   EXPECT_EQ(st.total.tasks_executed, st.total.tasks_deferred);
+}
+
+TEST(Scheduler, NestedRegionFramesOutliveRaidsThroughThem) {
+  // A constrained raid walks up the parent chain of a task it has not
+  // claimed yet, and a nested region's frame on that chain lives on its
+  // worker's stack. Tied top-level tasks wait here, so raids run
+  // constrained at depth 1; half of them open nested regions (frames at
+  // depth 2) whose waiting tied tasks are what those raids look at, and the
+  // other half spawn from undeferred frames, whose depth gaps stretch the
+  // walk up to the region's root frames. Every frame must stay put until
+  // the raids walking through it have ended. 8 workers oversubscribe a
+  // small box, so raids get preempted mid-walk; under ASan with
+  // ASAN_OPTIONS=detect_stack_use_after_return=1 a frame released under a
+  // raid reads as stack-use-after-return.
+  rt::Scheduler s(
+      rt::SchedulerConfig{.num_threads = 8, .cutoff = rt::CutoffPolicy::none});
+  constexpr int kReps = 300;
+  constexpr int kTops = 32;
+  constexpr int kKids = 4;
+  std::atomic<int> leaves{0};
+  const auto leaf = [&leaves] {
+    leaves.fetch_add(1, std::memory_order_relaxed);
+  };
+  const std::function<void()> waiting_kids = [&leaf] {
+    for (int k = 0; k < kKids; ++k) {
+      rt::spawn(rt::Tiedness::tied, [&leaf] {
+        rt::spawn(rt::Tiedness::tied, leaf);
+        rt::taskwait();
+      });
+    }
+    rt::taskwait();
+  };
+  for (int rep = 0; rep < kReps; ++rep) {
+    s.run_single([&] {
+      for (int i = 0; i < kTops; ++i) {
+        rt::spawn(rt::Tiedness::tied, [&s, &waiting_kids, i] {
+          if (i % 2 == 0) {
+            s.run_single(waiting_kids);
+          } else {
+            rt::spawn_if(false, [&waiting_kids] {
+              rt::spawn_if(false, waiting_kids);
+            });
+          }
+        });
+      }
+    });
+  }
+  EXPECT_EQ(leaves.load(), kReps * kTops * kKids);
 }
 
 // ---------------------------------------------------------------------------

@@ -761,6 +761,66 @@ TEST(Server, StallReportNamesOnlyTheBlockedRequest) {
 // Satellite: reconfigure() against a LIVE region is a checked error.
 // ---------------------------------------------------------------------------
 
+TEST(Server, RequestFramesOutliveRaidsThroughThem) {
+  // A constrained raid walks up the parent chain of a task it has not
+  // claimed yet. Request roots and nested regions run on frames on worker
+  // stacks: tied tasks of each request wait (so raids inside requests are
+  // constrained), half of them open a nested region below them, and every
+  // request spawns from undeferred frames, whose depth gaps let such a walk
+  // reach the request's root frame. Every frame must stay put until the
+  // raids walking through it have ended. 8 workers oversubscribe a small
+  // box, so raids get preempted mid-walk; run under ASan (with
+  // ASAN_OPTIONS=detect_stack_use_after_return=1) and TSAN.
+  rt::SchedulerConfig cfg = clean_cfg(8);
+  cfg.cutoff = rt::CutoffPolicy::none;
+  rt::Scheduler s(cfg);
+  rt::ServerConfig sc;
+  constexpr int kReqs = 192;
+  sc.queue_capacity = kReqs;
+  rt::TaskServer server(s, sc);
+  constexpr int kTops = 8;
+  constexpr int kKids = 3;
+  std::atomic<int> leaves{0};
+  const auto leaf = [&leaves] {
+    leaves.fetch_add(1, std::memory_order_relaxed);
+  };
+  const std::function<void()> waiting_kids = [&leaf] {
+    for (int k = 0; k < kKids; ++k) {
+      rt::spawn(rt::Tiedness::tied, [&leaf] {
+        rt::spawn(rt::Tiedness::tied, leaf);
+        rt::taskwait();
+      });
+    }
+    rt::taskwait();
+  };
+  const auto request = [&s, &waiting_kids] {
+    rt::spawn_if(false, [&] {
+      rt::spawn_if(false, [&] {
+        for (int t = 0; t < kTops; ++t) {
+          rt::spawn(rt::Tiedness::tied, [&s, &waiting_kids, t] {
+            if (t % 2 == 0) {
+              s.run_single(waiting_kids);
+            } else {
+              waiting_kids();
+            }
+          });
+        }
+        rt::taskwait();
+      });
+    });
+  };
+  std::vector<rt::RegionHandle> handles;
+  for (int i = 0; i < kReqs; ++i) {
+    auto res = server.submit(request);
+    ASSERT_TRUE(res.admitted);
+    handles.push_back(res.handle);
+  }
+  for (auto& h : handles) EXPECT_EQ(h.wait(), rt::RequestStatus::completed);
+  server.drain();
+  EXPECT_EQ(leaves.load(), kReqs * kTops * kKids);
+  expect_accounting_balanced(s.stats());
+}
+
 TEST(Server, ReconfigureWhileServerRunningThrows) {
   rt::Scheduler s(clean_cfg(4));
   rt::ServerConfig sc;
