@@ -237,7 +237,11 @@ struct SchedulerConfig {
   /// after the self-reference is already dropped would unpin the parent
   /// against a concurrent release chain. Non-exclusive finishes, and the
   /// knob turned off, use the seed ordering: announce first, then walk the
-  /// release chain (two parent-cacheline RMWs).
+  /// release chain (two parent-cacheline RMWs). An exclusive finish of a
+  /// pooled task whose parent the worker is not running (a thief's) or of
+  /// a replayed graph node defers that RMW into the worker's fold, one RMW
+  /// per up to 32 completions of one parent (Worker::fold_parent); off,
+  /// every finish announces at once.
   bool fused_finish = true;
 
   /// Zero-allocation undeferred execution: when spawn_if's condition is
@@ -318,10 +322,12 @@ struct SchedulerConfig {
   /// Owner-return descriptor pools (task.hpp TaskPool), on every topology:
   /// a descriptor is carved and first-touched by one worker, and when any
   /// other worker frees it, it goes back to that owner's pool — via
-  /// per-owner stashes spliced onto the owner's lock-free return list in
-  /// batches — not into the freer's pool. Pools then stay bounded by peak
-  /// live descriptors, and descriptor memory stays on its birth node
-  /// (WorkerStats::pool_remote_frees is zero by construction). Off keeps
+  /// per-owner stashes handed back onto the owner's lock-free return list
+  /// 16 at a time, each batch carrying its addresses so the owner
+  /// prefetches what it reuses — not into the freer's pool. Pools then
+  /// stay bounded by peak live descriptors, and descriptor memory stays on
+  /// its birth node (WorkerStats::pool_remote_frees is zero by
+  /// construction). Off keeps
   /// the older recycle-into-the-freer's-pool behaviour, as the drift
   /// reference for bench_ablation_taskpool and the knob-off tests: a worker
   /// that mostly executes stolen tasks hoards descriptors while the

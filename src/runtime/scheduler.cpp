@@ -398,8 +398,7 @@ bool Scheduler::help_one() {
     execute_deferred(*wp, *t);
     return true;
   }
-  flush_fold(*wp);
-  return false;
+  return false;  // find_work paid the fold before its raid
 }
 
 void Scheduler::monitor_region(std::stop_token st, Region& r,
@@ -705,9 +704,9 @@ void Scheduler::await_raids() noexcept {
 void Scheduler::flush_stash(Worker& w, unsigned owner) noexcept {
   RemoteStash& s = w.returns[owner];
   if (s.count == 0) return;
-  workers_[owner]->pool.give_back(s.head, s.tail);
+  workers_[owner]->pool.give_back(s.items, s.count);
   w.stash_in_transit -= s.count;
-  s = RemoteStash{};
+  s.count = 0;
 }
 
 void Scheduler::flush_outbound_stashes(Worker& w) noexcept {
@@ -825,6 +824,9 @@ void Scheduler::execute_deferred(Worker& w, Task& t) {
   // the watchdog's primary progress signal. A request's stall monitor needs
   // no tick here: the executed or discarded count below moves its progress.
   w.note_progress();
+  // A body of another parent may run long: pay the fold first. A sibling
+  // of the folded tasks keeps folding — their parent waits for it anyway.
+  if (w.fold_count != 0 && w.fold_parent != t.parent()) pay_fold(w);
   RegionCtx* ctx = t.ctx();
   if (((w.region != nullptr && w.region->cancelled()) ||
        (ctx != nullptr && ctx->cancelled())) &&
@@ -973,21 +975,28 @@ void Scheduler::finish_task(Worker& w, Task& t) {
   //   - a split-off range half links under its splitter's parent;
   //   - a replay re-arms its nodes under the replaying task, and a
   //     dependent task links under w.current like any spawn;
-  //   - an owed replay fold (fold_completion) keeps its parent, and so
-  //     every frame above it, non-exclusive until the fold is paid.
+  //   - an owed fold (fold_completion) keeps its parent, and so every
+  //     frame above it, non-exclusive until the fold is paid.
   if (cfg_.fused_finish && t.exclusive()) {
     // Exclusive: no child or release chain can reach t anymore, so t dies
     // without an RMW and both halves of the parent update — the
     // unfinished-children decrement and the reference drop — fuse into a
     // single RMW on the parent's state word.
-    if (t.storage() == TaskStorage::graph) {
-      // A replayed node: its parent is the replaying task, blocked in the
-      // replay's join, so the RMW can wait in this worker's fold and be
-      // paid for up to fold_batch nodes at once — the completion-side twin
-      // of replay's bulk charge. Graph storage is never disposed. Until the
-      // fold is paid (at the latest by this worker's idle-path flush) the
-      // parent, and so its implicit root, stays non-exclusive: the region
-      // barrier cannot open over an owed announcement.
+    if (t.storage() == TaskStorage::graph ||
+        (t.storage() == TaskStorage::pooled && parent != w.current)) {
+      // A replayed node (its parent is the replaying task, blocked in the
+      // replay's join), or a pooled task of a parent this worker is not
+      // running — a thief's completion, typically one of a flood's
+      // siblings. The descriptor dies now (graph storage is never
+      // disposed); the parent RMW waits in this worker's fold and is paid
+      // for up to fold_batch completions at once — the completion-side
+      // twin of the generator's pre-charged slots. A task of w.current
+      // announces at once: its parent is waiting right here. Until the fold
+      // is paid (Worker::fold_parent lists when) the parent, and so every
+      // frame above it, stays non-exclusive: no wait or barrier can open
+      // over an owed announcement.
+      assert(parent != nullptr);
+      dispose(w, t);
       fold_completion(w, *parent);
     } else {
       dispose(w, t);
@@ -1013,17 +1022,16 @@ void Scheduler::fold_completion(Worker& w, Task& parent) noexcept {
     flush_fold(w);
     w.fold_parent = &parent;
   }
-  if (++w.fold_count == Worker::fold_batch) flush_fold(w);
+  if (++w.fold_count == Worker::fold_batch) pay_fold(w);
 }
 
-void Scheduler::flush_fold(Worker& w) noexcept {
-  if (w.fold_count == 0) return;
+void Scheduler::pay_fold(Worker& w) noexcept {
   Task* parent = w.fold_parent;
   const std::uint32_t n = w.fold_count;
   w.fold_parent = nullptr;
   w.fold_count = 0;
-  // The replaying task's body still holds its own reference, so this never
-  // drops the last one in practice; the chain walk keeps it correct anyway.
+  // Drops the last reference when the parent's body has already ended
+  // without waiting for these children (a fire-and-forget spawner).
   if (parent->children_completed_and_release(n)) {
     Task* grand = parent->parent();
     dispose(w, *parent);
@@ -1047,10 +1055,12 @@ void Scheduler::help_until(Worker& w, Done done) {
       execute_deferred(w, *t);
       backoff.reset();
     } else {
-      flush_fold(w);
-      backoff.pause();
+      backoff.pause();  // find_work paid the fold before its raid
     }
   }
+  // The waiter's body resumes and may run long: pay what the tasks it ran
+  // while waiting owe elsewhere.
+  flush_fold(w);
 }
 
 void Scheduler::taskwait_from(Worker& w) {
@@ -1381,7 +1391,10 @@ Task* Scheduler::find_work(Worker& w) {
     // off the per-pop hot path — but before stealing, so a waiting ancestor
     // reaches its parked descendant on every idle round.
     if (Task* t = claim_parked(w)) return t;
-    // 3. Steal: a raid claims only tasks this worker may run.
+    // 3. Steal: a raid claims only tasks this worker may run. The fold is
+    // paid first: the local work it was folding across has run out, and a
+    // stolen subtree can keep this worker away for long.
+    flush_fold(w);
     if (Task* t = steal_work(w)) return t;
     // 3.5 Liveness fallback for hint placement: before reporting idle,
     // sweep the OTHER nodes' mailboxes too — a mailed half must never

@@ -100,10 +100,16 @@
 //   own state word with SpawnCharge::batch child slots in one RMW instead of
 //   one RMW per spawn (settled at every taskwait, barrier, scope join and
 //   body end), and the deque's push checks fullness against an
-//   owner-private copy of `top`. Thieves RMW both lines on every steal and
-//   finish, so per-spawn accesses to them were per-spawn cache misses.
-//   Replayed graph nodes fold their completion announcements the same way
-//   (Worker::fold_parent, one RMW per Worker::fold_batch nodes).
+//   owner-private copy of `top`. Thieves RMW `top` on every steal, so
+//   per-spawn accesses to it were per-spawn cache misses. Nor does a thief
+//   RMW the parent's state word on every finish: the completions of pooled
+//   tasks whose parent it is not running, and of replayed graph nodes,
+//   fold into one RMW per parent (Worker::fold_parent: at most
+//   Worker::fold_batch, paid before the thief runs another parent's task,
+//   raids, or leaves a wait). And the generator's descriptors come back in
+//   batches that carry their addresses, so its reuse prefetches the lines
+//   thieves last wrote instead of missing on them one after another
+//   (TaskPool::reuse).
 // * Zero-alloc undeferred execution: when spawn_if's condition is false or
 //   the cut-off refuses deferral, the closure runs directly on the parent's
 //   frame with no descriptor at all (detail::run_inline_fast): depth is
@@ -122,8 +128,10 @@
 // * Owner-return descriptor memory (use_node_pools, every topology): each
 //   descriptor is carved — and first-touched — by one worker's TaskPool and
 //   records that worker as its owner. A descriptor finishing on any other
-//   worker is stashed per owner (RemoteStash) and spliced back onto the
-//   owner's lock-free return list in batches, never into the thief's pool.
+//   worker is stashed per owner (RemoteStash, an array of addresses) and
+//   handed back onto the owner's lock-free return list 16 at a time, never
+//   into the thief's pool; a batch's addresses travel in its first
+//   descriptor, so the owner prefetches the descriptors it reuses.
 //   Pools therefore stay bounded by peak live descriptors even when one
 //   worker generates and others execute, and descriptor memory never
 //   migrates across the interconnect (pool_home_frees / pool_remote_frees /
@@ -489,9 +497,15 @@ class Worker {
   /// it returns. Deferred tasks start only at settle points, where it is
   /// already empty.
   SpawnCharge charge;
-  /// Folded replay completions: `fold_count` finished graph nodes whose
-  /// child+reference announcement to `fold_parent` (the replaying task) is
-  /// still owed, paid in one RMW per fold_batch (Scheduler::flush_fold).
+  /// Folded completions: `fold_count` finished tasks — replayed graph
+  /// nodes, and pooled tasks of a parent this worker is not running (a
+  /// thief's, such as a flood's siblings) — whose
+  /// child+reference announcement to `fold_parent` is still owed. One RMW
+  /// pays them all (Scheduler::flush_fold), on the first of: a full
+  /// fold_batch; the fold of another parent's task; execute_deferred of
+  /// another parent's task; the start of a raid in find_work (so also
+  /// before help_one reports no work); the end of every wait (taskwait,
+  /// scope join, barrier); run_ctx_root.
   static constexpr std::uint32_t fold_batch = 32;
   Task* fold_parent = nullptr;
   std::uint32_t fold_count = 0;
@@ -954,8 +968,9 @@ class Scheduler {
   void assert_between_regions() noexcept;
   Task* find_work(Worker& w);
   Task* steal_work(Worker& w);
-  /// The idle loop of every wait: run a claimed task, or pay this worker's
-  /// fold and back off, until `done()` holds.
+  /// The idle loop of every wait: run a claimed task, or back off (an
+  /// empty find_work has paid the fold), until `done()` holds; then pay
+  /// the fold before the waiter's body resumes.
   template <class Done>
   void help_until(Worker& w, Done done);
   void park_refused(Worker& w, Task* t);
@@ -970,11 +985,15 @@ class Scheduler {
   /// enqueue the ones that hit zero. Discards release too, so a cancelled
   /// DAG or replay drains instead of deadlocking.
   void release_successors(Worker& w, Task& t) noexcept;
-  /// Announce a finished, exclusive graph node to its parent through the
-  /// worker's fold (replayed nodes only; see Worker::fold_parent).
+  /// Announce a finished, exclusive task to its parent through the
+  /// worker's fold (see Worker::fold_parent for which tasks fold).
   void fold_completion(Worker& w, Task& parent) noexcept;
-  /// Pay the fold's owed announcements in one RMW.
-  void flush_fold(Worker& w) noexcept;
+  /// Pay the fold's owed announcements in one RMW. Inline: every taskwait
+  /// flushes on entry and exit, nearly always with nothing owed.
+  void flush_fold(Worker& w) noexcept {
+    if (w.fold_count != 0) pay_fold(w);
+  }
+  void pay_fold(Worker& w) noexcept;
 
   SchedulerConfig cfg_;
   Topology topo_;

@@ -324,9 +324,15 @@ class Task {
     return node == &ancestor;
   }
 
-  /// Intrusive link: freelist chain while recycled in a TaskPool, parked
-  /// chain while sitting in a worker's TSC inbox. The two uses are disjoint
-  /// in a task's lifetime (a parked task is live, a pooled one is dead).
+  /// The inline environment's storage, for a DEAD descriptor only: a
+  /// returned batch is written there (TaskPool::give_back).
+  [[nodiscard]] void* dead_env() noexcept { return inline_env_; }
+  [[nodiscard]] const void* dead_env() const noexcept { return inline_env_; }
+
+  /// Intrusive link: freelist chain while recycled in a TaskPool (or the
+  /// chain of returned batch heads), parked chain while sitting in a
+  /// worker's TSC inbox. The uses are disjoint in a task's lifetime (a
+  /// parked task is live, a pooled one is dead).
   Task* pool_next = nullptr;
 
  private:
@@ -373,13 +379,35 @@ struct TaskOpsFor {
 
 }  // namespace detail
 
+/// Per-worker stash of descriptors freed on this worker but owned by ONE
+/// other worker (Scheduler keeps one per owner). A free costs one store
+/// here, of the descriptor's address; when the stash reaches flush_batch the
+/// whole batch goes back to the owner in one TaskPool::give_back CAS.
+/// Workers also flush every stash at region end, which bounds in-transit
+/// memory and makes the between-regions balance exact (every descriptor
+/// rests in its owner's pool).
+struct RemoteStash {
+  static constexpr std::uint32_t flush_batch = 16;
+
+  Task* items[flush_batch];
+  std::uint32_t count = 0;
+
+  void push(Task* t) noexcept { items[count++] = t; }
+};
+
 /// Per-worker pool of task descriptors. Only the owning worker carves from
 /// it, and every descriptor it carves records that worker as its owner
 /// (Task::owner). Under SchedulerConfig::use_node_pools a freed descriptor
 /// always comes back to its owner's pool: the owner recycles its own frees
 /// onto the private freelist, and any other worker stashes them
-/// (RemoteStash) and splices whole batches onto the lock-free return list,
-/// which the owner takes in one exchange when its freelist runs dry. A pool
+/// (RemoteStash) and hands whole batches back onto the lock-free return
+/// list, which the owner takes in one exchange when its freelist runs dry.
+/// A returned batch carries its addresses: its first descriptor holds the
+/// count and the other addresses in its dead inline environment, so the
+/// owner knows the next descriptors before it touches them and prefetches
+/// the lines a spawn writes a few hand-outs ahead. (A chain linked through
+/// each dead descriptor would reveal the next address only by a miss on the
+/// line a thief last wrote, one serial cross-core miss per reuse.) A pool
 /// therefore holds at most its owner's peak live descriptors plus the ones
 /// in transit, however the tasks were stolen, and the memory stays on the
 /// node of the thread that first touched it. With the knob off the freeing
@@ -402,17 +430,20 @@ class TaskPool {
   }
 
   /// Owner only: a recycled descriptor, reset for reuse — from the private
-  /// freelist or, when that is empty, from the return list taken whole in
-  /// one exchange. nullptr when both are empty; the caller carves then.
+  /// freelist or, when that is empty, from the returned batches, taken from
+  /// the return list all at once in one exchange. nullptr when both are
+  /// empty; the caller carves then.
   Task* reuse() noexcept {
     Task* t = free_;
-    if (t == nullptr) {
-      // Only the owner ever empties the return list, so a non-null load
-      // guarantees the exchange below takes a non-empty chain.
-      if (returned_.load(std::memory_order_relaxed) == nullptr) return nullptr;
-      t = returned_.exchange(nullptr, std::memory_order_acquire);
+    if (t != nullptr) {
+      free_ = t->pool_next;
+    } else {
+      if (next_ == taken_ && !open_batch()) return nullptr;
+      if (next_ + prefetch_ahead < taken_) {
+        prefetch_for_spawn(batch_[next_ + prefetch_ahead]);
+      }
+      t = batch_[next_++];
     }
-    free_ = t->pool_next;
     t->pool_next = nullptr;
     t->reset_for_reuse();
     return t;
@@ -436,19 +467,27 @@ class TaskPool {
     free_ = t;
   }
 
-  /// Any thread: splice the dead pool_next chain [head..tail], all carved
-  /// by this pool, onto the return list in one CAS.
-  void give_back(Task* head, Task* tail) noexcept {
+  /// Any thread: hand the `n` dead descriptors `items` (1 to
+  /// RemoteStash::flush_batch, all carved by this pool) back in one CAS.
+  /// items[0] carries the batch: the count and the other addresses go into
+  /// its dead inline environment, and it alone is linked onto the return
+  /// list.
+  void give_back(Task* const* items, std::uint32_t n) noexcept {
+    Task* head = items[0];
+    auto* b = ::new (head->dead_env()) ReturnBatch;
+    b->count = n;
+    for (std::uint32_t i = 1; i < n; ++i) b->rest[i - 1] = items[i];
     Task* old = returned_.load(std::memory_order_relaxed);
     do {
-      tail->pool_next = old;
+      head->pool_next = old;
     } while (!returned_.compare_exchange_weak(old, head,
                                               std::memory_order_release,
                                               std::memory_order_relaxed));
   }
 
-  /// Between regions only (tests, node_pool_snapshot): descriptors on the
-  /// private freelist and on the return list, and the total ever carved.
+  /// Between regions only (tests, node_pool_snapshot): descriptors the
+  /// owner holds (private freelist and batches it has taken), descriptors
+  /// on the return list, and the total ever carved.
   struct Counts {
     std::size_t free = 0;
     std::size_t returned = 0;
@@ -457,15 +496,67 @@ class TaskPool {
   [[nodiscard]] Counts counts() const noexcept {
     Counts c;
     for (const Task* t = free_; t != nullptr; t = t->pool_next) ++c.free;
-    for (const Task* t = returned_.load(std::memory_order_acquire);
-         t != nullptr; t = t->pool_next) {
-      ++c.returned;
+    c.free += taken_ - next_;
+    for (const Task* h = batches_; h != nullptr; h = h->pool_next) {
+      c.free += batch_of(h).count;
+    }
+    for (const Task* h = returned_.load(std::memory_order_acquire);
+         h != nullptr; h = h->pool_next) {
+      c.returned += batch_of(h).count;
     }
     c.carved = chunks_.size() * chunk_tasks + next_in_chunk_ - chunk_tasks;
     return c;
   }
 
  private:
+  /// A returned batch, written over its first descriptor's dead inline
+  /// environment: 16 eight-byte slots fill the 128 bytes exactly.
+  struct ReturnBatch {
+    std::uint32_t count;
+    Task* rest[RemoteStash::flush_batch - 1];
+  };
+  static_assert(sizeof(ReturnBatch) <= Task::inline_env_capacity);
+
+  /// Hand-outs between a prefetch and the reuse it serves.
+  static constexpr std::uint32_t prefetch_ahead = 4;
+
+  static const ReturnBatch& batch_of(const Task* head) noexcept {
+    return *std::launder(static_cast<const ReturnBatch*>(head->dead_env()));
+  }
+
+  /// The lines a spawn writes: the header and the start of the inline
+  /// environment (every byte of [t, t + 128), whatever the line offset).
+  static void prefetch_for_spawn(const Task* t) noexcept {
+    const char* p = reinterpret_cast<const char*>(t);
+    __builtin_prefetch(p, 1);
+    __builtin_prefetch(p + 64, 1);
+    __builtin_prefetch(p + 127, 1);
+  }
+
+  /// Owner only: make the next returned batch current — the rest of the
+  /// chain taken earlier, else the whole return list in one exchange. Its
+  /// first descriptor, whose lines the read just brought in, goes out
+  /// first; the next prefetch_ahead are prefetched at once.
+  bool open_batch() noexcept {
+    Task* head = batches_;
+    if (head == nullptr) {
+      // Only the owner ever empties the return list, so a non-null load
+      // guarantees the exchange below takes a non-empty chain.
+      if (returned_.load(std::memory_order_relaxed) == nullptr) return false;
+      head = returned_.exchange(nullptr, std::memory_order_acquire);
+    }
+    batches_ = head->pool_next;
+    const ReturnBatch& b = batch_of(head);
+    taken_ = b.count;
+    batch_[0] = head;
+    for (std::uint32_t i = 1; i < taken_; ++i) batch_[i] = b.rest[i - 1];
+    next_ = 0;
+    for (std::uint32_t i = 1; i <= prefetch_ahead && i < taken_; ++i) {
+      prefetch_for_spawn(batch_[i]);
+    }
+    return true;
+  }
+
   void refill() {
     // Grow the bookkeeping vector BEFORE allocating the chunk: with the
     // slot reserved, the push_back below cannot throw, so a bad_alloc
@@ -481,34 +572,18 @@ class TaskPool {
   }
 
   Task* free_ = nullptr;
+  /// The batch being handed out: batch_[next_ .. taken_) are still free.
+  Task* batch_[RemoteStash::flush_batch];
+  std::uint32_t next_ = 0;
+  std::uint32_t taken_ = 0;
+  /// Batch heads taken from the return list and not opened yet.
+  Task* batches_ = nullptr;
   Task* chunk_cursor_ = nullptr;
   std::size_t next_in_chunk_ = chunk_tasks;
   std::vector<std::byte*> chunks_;
   /// Written by every worker that returns descriptors: on its own cache
   /// line, away from the owner's hot freelist fields.
   alignas(cache_line_bytes) std::atomic<Task*> returned_{nullptr};
-};
-
-/// Per-worker stash of descriptors freed on this worker but owned by ONE
-/// other worker (Scheduler keeps one per owner). A free costs two plain
-/// stores here; when the stash reaches flush_batch the whole chain goes
-/// back to the owner in one TaskPool::give_back CAS. Workers also flush
-/// every stash at region end, which bounds in-transit memory and makes the
-/// between-regions balance exact (every descriptor rests in its owner's
-/// pool).
-struct RemoteStash {
-  static constexpr std::uint32_t flush_batch = 16;
-
-  Task* head = nullptr;
-  Task* tail = nullptr;
-  std::uint32_t count = 0;
-
-  void push(Task* t) noexcept {
-    t->pool_next = head;
-    if (head == nullptr) tail = t;
-    head = t;
-    ++count;
-  }
 };
 
 }  // namespace bots::rt

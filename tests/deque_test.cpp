@@ -2,6 +2,7 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -449,7 +450,7 @@ TEST(TaskPool, ReturnedChainIsTakenWhenFreelistRunsDry) {
   rt::RemoteStash stash;
   stash.push(b);
   stash.push(c);
-  pool.give_back(stash.head, stash.tail);
+  pool.give_back(stash.items, stash.count);
   EXPECT_EQ(pool.counts().returned, 2u);
   EXPECT_EQ(pool.reuse(), a);  // private freelist first
   std::vector<rt::Task*> rest{pool.reuse(), pool.reuse()};
@@ -459,6 +460,68 @@ TEST(TaskPool, ReturnedChainIsTakenWhenFreelistRunsDry) {
   EXPECT_EQ(rest, expect);
   EXPECT_EQ(pool.reuse(), nullptr);
   EXPECT_EQ(pool.counts().returned, 0u);
+}
+
+TEST(TaskPool, ReturnBatchesOfEverySizeAreHandedOutOnce) {
+  // Returned batches of 1, 7 and 16 descriptors, mixed with the owner's own
+  // recycles, given back both while the pool is drained and while a batch
+  // is half handed out. After every step the pool accounts for each carved
+  // descriptor (free + returned + held == carved), and a descriptor is
+  // handed out only while it is back in the pool: exactly once per return.
+  constexpr std::size_t kCarved = 40;
+  rt::TaskPool pool;
+  std::vector<rt::Task*> held;
+  for (std::size_t i = 0; i < kCarved; ++i) held.push_back(pool.carve(0));
+  std::set<rt::Task*> in_pool;
+  auto balanced = [&] {
+    const rt::TaskPool::Counts c = pool.counts();
+    EXPECT_EQ(c.carved, kCarved);
+    EXPECT_EQ(c.free + c.returned + held.size(), c.carved);
+  };
+  auto put_back = [&](rt::Task* t) {
+    EXPECT_TRUE(in_pool.insert(t).second) << "returned twice";
+  };
+  // Everything held goes back: batches cycling through 1, 7 and 16 (cut to
+  // what is left), each followed by one recycle.
+  auto return_all = [&] {
+    const std::uint32_t sizes[] = {1, 7, 16};
+    std::size_t i = 0;
+    for (std::size_t k = 0; i < held.size(); ++k) {
+      const auto n = static_cast<std::uint32_t>(
+          std::min<std::size_t>(sizes[k % 3], held.size() - i));
+      for (std::uint32_t j = 0; j < n; ++j) put_back(held[i + j]);
+      pool.give_back(held.data() + i, n);
+      i += n;
+      if (i < held.size()) {
+        put_back(held[i]);
+        pool.recycle(held[i++]);
+      }
+    }
+    held.clear();
+    balanced();
+  };
+  auto take = [&](std::size_t n) {
+    for (std::size_t k = 0; k < n; ++k) {
+      rt::Task* t = pool.reuse();
+      ASSERT_NE(t, nullptr);
+      EXPECT_EQ(in_pool.erase(t), 1u) << "handed out while not in the pool";
+      held.push_back(t);
+      balanced();
+    }
+  };
+  return_all();
+  for (std::size_t round = 0; round < 6; ++round) {
+    // Even rounds drain the pool; odd rounds stop inside a batch, so the
+    // next returns land while it is still open.
+    take(round % 2 == 0 ? kCarved : 13 + round);
+    std::rotate(held.begin(), held.begin() + round % held.size(), held.end());
+    return_all();
+  }
+  take(kCarved);
+  EXPECT_EQ(pool.reuse(), nullptr);
+  EXPECT_TRUE(in_pool.empty());
+  const std::set<rt::Task*> distinct(held.begin(), held.end());
+  EXPECT_EQ(distinct.size(), kCarved);
 }
 
 TEST(TaskPool, RecycledTaskIsReset) {

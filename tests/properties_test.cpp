@@ -438,6 +438,135 @@ TEST(Properties, SingleGeneratorFloodsKeepPoolsBounded) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Folded completions: a thief that finishes pooled tasks of a parent it is
+// not running owes their announcements to that parent and pays them in one
+// RMW later (Worker::fold_parent). Every exit path must still pay them: the
+// parent's wait, the region barrier and the ledgers all read the same words.
+// ---------------------------------------------------------------------------
+
+constexpr unsigned kFoldWorkers = 4;
+constexpr int kFoldTasks = 4096;
+
+rt::SchedulerConfig fold_cfg() {
+  rt::SchedulerConfig cfg;
+  cfg.num_threads = kFoldWorkers;
+  cfg.cutoff = rt::CutoffPolicy::none;  // every spawn deferred, most stolen
+  cfg.fault_plan.clear();               // exact ledgers
+  return cfg;
+}
+
+// Every deferred task executed or discarded once, every pooled descriptor
+// freed once and back in its owner's pool.
+void expect_folds_paid(rt::Scheduler& s, const std::string& label) {
+  const auto t = s.stats().total;
+  EXPECT_EQ(t.tasks_executed + t.tasks_discarded, t.tasks_deferred) << label;
+  EXPECT_EQ(t.pool_home_frees + t.pool_remote_frees, t.pool_reuse + t.pool_fresh)
+      << label;
+  for (const auto& n : s.node_pool_snapshot()) {
+    EXPECT_EQ(n.arena_carved, n.arena_free + n.cached + n.in_transit) << label;
+    EXPECT_EQ(n.in_transit, 0u) << label;
+  }
+}
+
+// One generator spawns kFoldTasks tasks running `body(i)`, then waits.
+template <class Body>
+void flood(const Body& body) {
+  for (int i = 0; i < kFoldTasks; ++i) {
+    rt::spawn(rt::Tiedness::tied, [&body, i] { body(i); });
+  }
+  rt::taskwait();
+}
+
+TEST(Properties, FoldedCompletionsArePaidWhenATaskThrows) {
+  // cancel_on_exception: the throw cancels the region, the tasks still
+  // queued are discarded — on thieves too, through the same fold — and the
+  // exception reaches the caller only after the barrier saw every root
+  // exclusive.
+  rt::SchedulerConfig cfg = fold_cfg();
+  cfg.cancel_on_exception = true;
+  rt::Scheduler s(cfg);
+  for (int round = 0; round < 20; ++round) {
+    const int thrower = (round * 613) % kFoldTasks;
+    EXPECT_THROW(s.run_single([thrower] {
+      flood([thrower](int i) {
+        if (i == thrower) throw std::runtime_error("fold");
+      });
+    }),
+                 std::runtime_error)
+        << "round " << round;
+    expect_folds_paid(s, "round " + std::to_string(round));
+  }
+  EXPECT_GT(s.stats().total.tasks_stolen, 0u);
+}
+
+TEST(Properties, FoldedCompletionsArePaidWhenTheRegionIsCancelled) {
+  rt::Scheduler s(fold_cfg());
+  for (int round = 0; round < 20; ++round) {
+    const int canceller = (round * 613) % kFoldTasks;
+    s.run_single([canceller] {
+      flood([canceller](int i) {
+        if (i == canceller) rt::cancel_region();
+      });
+    });
+    EXPECT_EQ(s.last_region_status(), rt::RegionStatus::cancelled)
+        << "round " << round;
+    expect_folds_paid(s, "round " + std::to_string(round));
+  }
+  EXPECT_GT(s.stats().total.tasks_stolen, 0u);
+}
+
+TEST(Properties, FoldedCompletionsArePaidOnAShrunkTeam) {
+  // A thread_spawn fault shrinks the team at construction: the stashes and
+  // folds are sized and kept per surviving worker.
+  unsigned found = 0;
+  for (int seed = 1; seed <= 64 && found < 2; ++seed) {
+    rt::SchedulerConfig cfg = fold_cfg();
+    cfg.num_threads = 8;
+    cfg.fault_plan = "seed=" + std::to_string(seed) + ",thread_spawn=0.3";
+    rt::Scheduler s(cfg);
+    if (!s.team_degraded() || s.num_workers() < 2) continue;
+    ++found;
+    for (int round = 0; round < 10; ++round) {
+      std::atomic<int> ran{0};
+      s.run_single([&ran] {
+        flood([&ran](int) { ran.fetch_add(1, std::memory_order_relaxed); });
+        // The wait read the count the thieves' folds paid.
+        EXPECT_EQ(ran.load(std::memory_order_relaxed), kFoldTasks);
+      });
+      expect_folds_paid(s, "seed " + std::to_string(seed) + " round " +
+                               std::to_string(round));
+    }
+  }
+  EXPECT_EQ(found, 2u) << "no fault seed shrank the team to 2..7 workers";
+}
+
+TEST(Properties, FoldedCompletionsArePaidAtTheRegionBarrier) {
+  // Worker 0 floods without waiting; the team's barrier must not open
+  // before every folded completion is paid, so each worker reads the full
+  // count right after it.
+  rt::Scheduler s(fold_cfg());
+  for (int round = 0; round < 20; ++round) {
+    std::atomic<int> ran{0};
+    std::atomic<int> short_reads{0};
+    s.run_all([&](unsigned id) {
+      if (id == 0) {
+        for (int i = 0; i < kFoldTasks; ++i) {
+          rt::spawn(rt::Tiedness::tied,
+                    [&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
+        }
+      }
+      rt::barrier();
+      if (ran.load(std::memory_order_relaxed) != kFoldTasks) {
+        short_reads.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+    EXPECT_EQ(short_reads.load(), 0) << "round " << round;
+    expect_folds_paid(s, "round " + std::to_string(round));
+  }
+  EXPECT_GT(s.stats().total.tasks_stolen, 0u);
+}
+
 TEST(Properties, PrechargedSpawnSlotsSettleOnEveryExitPath) {
   // From its third spawn on, a task charges itself a batch of child slots
   // in one RMW and hands the unused ones back at its next settle point.
@@ -640,7 +769,7 @@ TEST(Properties, CountersAreReadableWhileARegionRuns) {
 
 TEST(Properties, ReturnListHandsOutEachDescriptorExactlyOnce) {
   // The owner's lock-free return list under contention: three returner
-  // threads splice chains back while the owner keeps allocating. A flag per
+  // threads hand batches back while the owner keeps allocating. A flag per
   // descriptor says "back in the pool": returners set it just before the
   // splice, the owner clears it on every hand-out. A hand-out that finds
   // the flag clear got a descriptor that was never given back (handed out
@@ -668,14 +797,11 @@ TEST(Properties, ReturnListHandsOutEachDescriptorExactlyOnce) {
       rt::RemoteStash stash;
       auto flush = [&] {
         if (stash.count == 0) return;
-        // Walk `count` links, not to the null end: a descriptor handed out
-        // twice can close the chain into a cycle.
-        rt::Task* t = stash.head;
-        for (std::uint32_t i = 0; i < stash.count; ++i, t = t->pool_next) {
-          in_pool[index.at(t)].store(1, std::memory_order_relaxed);
+        for (std::uint32_t i = 0; i < stash.count; ++i) {
+          in_pool[index.at(stash.items[i])].store(1, std::memory_order_relaxed);
         }
-        pool.give_back(stash.head, stash.tail);
-        stash = rt::RemoteStash{};
+        pool.give_back(stash.items, stash.count);
+        stash.count = 0;
       };
       std::vector<rt::Task*> batch;
       for (;;) {

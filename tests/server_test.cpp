@@ -715,6 +715,75 @@ TEST(Server, LedgerCountsEveryTaskOfACancelledRequest) {
   EXPECT_GT(h.tasks_discarded(), 0u);
 }
 
+// A thief folds the completions of stolen tasks into one later RMW on their
+// parent (Worker::fold_parent). Request R's first task runs on the other
+// worker — R's body spins until it has — and submits request Q, which that
+// worker picks up next. Q's body runs until R is done, so R must not wait
+// for the announcement the thief still owes it: the thief pays it before
+// Q's root body starts. Left unpaid, R ends only after Q's body gives up
+// (its deadline), and the test fails without hanging.
+TEST(Server, FoldedCompletionsArePaidBeforeAnotherRequestRuns) {
+  rt::SchedulerConfig cfg = clean_cfg(2);
+  cfg.cutoff = rt::CutoffPolicy::none;
+  rt::Scheduler s(cfg);
+  rt::TaskServer server(s, rt::ServerConfig{});
+  for (int round = 0; round < 20; ++round) {
+    rt::RegionHandle r_handle;
+    rt::RegionHandle q_handle;
+    std::atomic<bool> r_published{false};
+    std::atomic<bool> q_published{false};
+    std::atomic<bool> task_ran_elsewhere{false};
+    std::atomic<bool> r_done_while_q_ran{false};
+    const auto q_body = [&] {
+      const auto give_up =
+          std::chrono::steady_clock::now() + std::chrono::seconds(5);
+      while (!r_published.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
+      while (!r_handle.done() && std::chrono::steady_clock::now() < give_up) {
+        std::this_thread::yield();
+      }
+      r_done_while_q_ran.store(r_handle.done(), std::memory_order_release);
+    };
+    auto r = server.submit([&] {
+      const unsigned self = rt::detail::tls_worker->id;
+      rt::spawn([&, self] {
+        task_ran_elsewhere.store(rt::detail::tls_worker->id != self,
+                                 std::memory_order_relaxed);
+        auto q = server.submit(q_body);
+        EXPECT_TRUE(q.admitted);
+        q_handle = q.handle;
+        q_published.store(true, std::memory_order_release);
+      });
+      // Pushes the task out of this worker's private slot, where no thief
+      // could see it; this one runs here, at R's join.
+      rt::spawn([] {});
+      // Not a scheduling point: only the other worker can run the task.
+      while (!q_published.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
+    });
+    ASSERT_TRUE(r.admitted);
+    r_handle = r.handle;
+    r_published.store(true, std::memory_order_release);
+    EXPECT_EQ(r_handle.wait(), rt::RequestStatus::completed);
+    finish_within(std::chrono::seconds(30), "folded request: Q published",
+                  [&] { return q_published.load(std::memory_order_acquire); });
+    EXPECT_EQ(q_handle.wait(), rt::RequestStatus::completed);
+    EXPECT_TRUE(task_ran_elsewhere.load()) << "round " << round;
+    EXPECT_TRUE(r_done_while_q_ran.load()) << "round " << round;
+    EXPECT_EQ(r_handle.tasks_deferred(), 2u);
+    EXPECT_EQ(r_handle.tasks_executed() + r_handle.tasks_discarded(), 2u);
+  }
+  server.drain();
+  expect_accounting_balanced(s.stats());
+  const auto t = s.stats().total;
+  EXPECT_EQ(t.pool_home_frees + t.pool_remote_frees, t.pool_reuse + t.pool_fresh);
+  for (const auto& n : s.node_pool_snapshot()) {
+    EXPECT_EQ(n.arena_carved, n.arena_free + n.cached + n.in_transit);
+  }
+}
+
 // The monitor reports a live request whose progress (dispatches, range
 // chunks, inline discards) stops moving, and only that one.
 TEST(Server, StallReportNamesOnlyTheBlockedRequest) {
