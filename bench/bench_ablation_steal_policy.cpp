@@ -3,11 +3,10 @@
 // sequential, last_victim, hierarchical) over benchmarks with different
 // task shapes, at the sweep's top thread count, and reports speed-up vs
 // serial plus the steal-locality split (steals_local_node vs
-// steals_remote_node), the remote probes the has-work hints saved, how many
-// workers were verifiably pinned, and the per-site adaptive grain each run
-// converged to. The hierarchical policy additionally runs a pinned × hint
-// on/off axis (PR 4), so the cost/benefit of worker pinning and cross-node
-// probe throttling is measurable in isolation.
+// steals_remote_node), the remote probes the has-work hints saved and how
+// many workers were verifiably pinned. The hierarchical policy additionally
+// runs a pinned × hint on/off axis (PR 4), so the cost/benefit of worker
+// pinning and cross-node probe throttling is measurable in isolation.
 //
 // On a single-node host the hierarchical policy degenerates to
 // last_victim, so for an interconnect-sensitive A/B set a synthetic
@@ -44,7 +43,6 @@ struct Outcome {
   std::uint64_t halves_redirected = 0;  ///< range halves mailed to idle nodes
   std::uint64_t remote_frees = 0;       ///< descriptor frees off the birth node
   std::uint64_t pinned = 0;  ///< verifiably pinned workers, last rep
-  std::string grain;         ///< per-site converged grain, last rep
 };
 
 std::map<Key, Outcome> g_results;
@@ -75,7 +73,6 @@ void bm_config(benchmark::State& state, const core::AppInfo* app,
     out.halves_redirected += t.range_halves_redirected;
     out.remote_frees += t.pool_remote_frees;
     out.pinned = t.pinned;
-    out.grain = sched.grain_table().describe();
   }
 }
 
@@ -157,19 +154,17 @@ int main(int argc, char** argv) {
 
   std::cout << "\nSteal locality (successful raids, summed over reps), "
                "skipped remote probes, mailed range halves, off-birth-node "
-               "descriptor frees, pinned workers and converged per-site "
-               "grain:\n";
+               "descriptor frees and pinned workers:\n";
   core::TableWriter loc({"app", "config", "steals local", "steals remote",
                          "probes skipped", "halves mailed", "remote frees",
-                         "pinned", "grain"});
+                         "pinned"});
   for (const auto& [key, out] : g_results) {
     loc.add_row({key.app, key.config, std::to_string(out.steals_local),
                  std::to_string(out.steals_remote),
                  std::to_string(out.probes_skipped),
                  std::to_string(out.halves_redirected),
                  std::to_string(out.remote_frees),
-                 std::to_string(out.pinned) + "/" + std::to_string(threads),
-                 out.grain});
+                 std::to_string(out.pinned) + "/" + std::to_string(threads)});
   }
   loc.render(std::cout);
   std::cout << "\nExpected shape: on a multi-node topology, hierarchical\n"

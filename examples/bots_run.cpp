@@ -101,8 +101,6 @@ void print_report(const core::RunReport& rep, bool with_stats) {
     line += (line.empty() ? "" : " ") + item;
   });
   if (!line.empty()) std::printf("           %s\n", line.c_str());
-  std::printf("           grain: %s\n",
-              rep.grain_sites.empty() ? "n/a" : rep.grain_sites.c_str());
 }
 
 // Region-level fault state, printed on the --stats channel only when

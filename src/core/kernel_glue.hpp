@@ -28,7 +28,6 @@ template <class Work, class Check>
   work();
   rep.seconds = timer.seconds();
   rep.runtime_stats = sched.stats().total;
-  rep.grain_sites = sched.grain_table().describe();
   rep.verified = verify ? (check() ? Verified::ok : Verified::failed)
                         : Verified::not_checked;
   return rep;

@@ -52,10 +52,6 @@ struct RunReport {
   std::string metric_name;
   Verified verified = Verified::not_checked;
   rt::WorkerStats runtime_stats;  ///< aggregated scheduler counters
-  /// Converged grain per spawn site after the run (GrainTable::describe,
-  /// e.g. "global=1 sort/merge=8"); empty for serial runs. Printed by
-  /// `bots_run --stats`.
-  std::string grain_sites;
 
   /// Speed-up versus a serial baseline, using the metric when present
   /// (Floorplan) and elapsed time otherwise.

@@ -143,15 +143,11 @@ std::vector<int> run_parallel(const Params& p,
     // serially); everyone else is already at the region barrier stealing
     // halves, so load balance comes from split-on-steal instead of
     // one-descriptor-per-pair generation.
-    // Site-tagged so the row ranges converge their own grain estimate
-    // (expensive DP iterations) instead of sharing one with cheap-iteration
-    // ranges elsewhere in a mixed workload.
-    constexpr rt::RangeSite kRowsSite{"alignment/rows"};
     rt::SingleGate gate(sched.num_workers());
     sched.run_all([&](unsigned) {
       rt::single_nowait(gate, [&] {
         rt::spawn_range(
-            kRowsSite, tied, 0, nseq, 1,
+            tied, 0, nseq, 1,
             [out, sq, nseq, gap_open, gap_extend](std::int64_t i) {
               for (int j = static_cast<int>(i) + 1; j < nseq; ++j) {
                 out[pair_index(nseq, static_cast<int>(i), j)] =

@@ -125,7 +125,7 @@ struct TaskFft {
   rt::Tiedness tied;
   /// SchedulerConfig::use_range_tasks: express each butterfly data-motion
   /// loop (deinterleave, combine) as ONE splittable range instead of one
-  /// task per chunk — `chunk` becomes the range's grain floor, so an
+  /// task per chunk — `chunk` becomes the range's grain, so an
   /// uncontended worker runs the loop out of a single descriptor and
   /// halves only split off when thieves are hungry. Off: the per-chunk
   /// task generation above stays as the A/B baseline.
@@ -139,10 +139,7 @@ struct TaskFft {
     }
     const std::size_t half = n / 2;
     if (use_range) {
-      // Data-motion iterations; the caller chunk stays the floor and the
-      // site converges its own estimate above it (grain.hpp).
-      constexpr rt::RangeSite kScatterSite{"fft/scatter"};
-      rt::spawn_range(kScatterSite, tied, 0, static_cast<std::int64_t>(half),
+      rt::spawn_range(tied, 0, static_cast<std::int64_t>(half),
                       static_cast<std::int64_t>(chunk),
                       [a, scratch, half](std::int64_t i) {
                         scratch[i] = a[2 * i];
@@ -169,9 +166,7 @@ struct TaskFft {
     rt::taskwait();
     const Twiddles& twr = *tw;
     if (use_range) {
-      constexpr rt::RangeSite kButterflySite{"fft/butterfly"};
-      rt::spawn_range(kButterflySite, tied, 0,
-                      static_cast<std::int64_t>(half),
+      rt::spawn_range(tied, 0, static_cast<std::int64_t>(half),
                       static_cast<std::int64_t>(chunk),
                       [a, scratch, half, stride, &twr](std::int64_t k) {
                         const Complex t = twr.w[static_cast<std::size_t>(k) *

@@ -416,9 +416,8 @@ Stats run_parallel(const Params& p, rt::Scheduler& sched,
           const auto n = static_cast<std::int64_t>(vs.size());
           if (ranges) {
             rt::single_nowait(gate, [&] {
-              constexpr rt::RangeSite kLevelSite{"health/levels"};
               Village** vptr = vs.data();
-              rt::spawn_range(kLevelSite, tied, 0, n, 1,
+              rt::spawn_range(tied, 0, n, 1,
                               [vptr, prm](std::int64_t idx) {
                                 sim_village_local<prof::NoProf>(*prm,
                                                                *vptr[idx]);

@@ -236,11 +236,8 @@ struct TaskSort {
     const std::ptrdiff_t total = n1 + n2;
     const std::ptrdiff_t chunk = th.merge > 1 ? th.merge : 1;
     const std::ptrdiff_t nchunks = (total + chunk - 1) / chunk;
-    // Chunk-granular heavy iterations: a dedicated site keeps the merge
-    // grain independent of cheap-iteration ranges (grain.hpp).
-    constexpr rt::RangeSite kMergeSite{"sort/merge"};
     rt::spawn_range(
-        kMergeSite, tied, 0, nchunks, 1,
+        tied, 0, nchunks, 1,
         [a, n1, b, n2, dest, chunk, total](std::int64_t c) {
           const std::ptrdiff_t k0 = c * chunk;
           const std::ptrdiff_t k1 = k0 + chunk < total ? k0 + chunk : total;

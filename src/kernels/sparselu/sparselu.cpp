@@ -173,20 +173,15 @@ void factor_for(BlockMatrix& m, rt::Scheduler& sched, rt::Tiedness tied) {
       const auto lo = static_cast<std::int64_t>(kk) + 1;
       const auto hi = static_cast<std::int64_t>(nb);
       if (ranges) {
-        // One grain site per phase kind: fwd/bdiv rows are much cheaper
-        // than bmod's O(nb) inner sweep, so each converges independently.
-        constexpr rt::RangeSite kFwdSite{"sparselu/fwd"};
-        constexpr rt::RangeSite kBdivSite{"sparselu/bdiv"};
-        constexpr rt::RangeSite kBmodSite{"sparselu/bmod"};
         rt::single_nowait(gate, [&] {
           lu0<prof::NoProf>(m.ensure(kk, kk), bs);
           const float* diag = m.block(kk, kk);
-          rt::spawn_range(kFwdSite, tied, lo, hi, 1,
+          rt::spawn_range(tied, lo, hi, 1,
                           [&m, diag, bs, kk](std::int64_t jj) {
             const auto j = static_cast<std::size_t>(jj);
             if (!m.empty(kk, j)) fwd<prof::NoProf>(diag, m.block(kk, j), bs);
           });
-          rt::spawn_range(kBdivSite, tied, lo, hi, 1,
+          rt::spawn_range(tied, lo, hi, 1,
                           [&m, diag, bs, kk](std::int64_t ii) {
             const auto i = static_cast<std::size_t>(ii);
             if (!m.empty(i, kk)) bdiv<prof::NoProf>(diag, m.block(i, kk), bs);
@@ -194,7 +189,7 @@ void factor_for(BlockMatrix& m, rt::Scheduler& sched, rt::Tiedness tied) {
         });
         rt::barrier();
         rt::single_nowait(gate, [&] {
-          rt::spawn_range(kBmodSite, tied, lo, hi, 1,
+          rt::spawn_range(tied, lo, hi, 1,
                           [&m, bs, kk, nb](std::int64_t ii) {
             const auto i = static_cast<std::size_t>(ii);
             if (m.empty(i, kk)) return;

@@ -262,10 +262,12 @@ struct SchedulerConfig {
   /// whole iteration range; whoever executes it splits off the upper half as
   /// a sibling task whenever its local queue runs dry (which is exactly what
   /// a steal causes — the thief's first check always splits, re-exposing
-  /// half for other thieves). Loop-style kernels (Alignment, SparseLU `for`,
-  /// Health `for`) use this to replace one-descriptor-per-iteration
-  /// generation. Off: those kernels fall back to per-iteration spawning, so
-  /// bench_ablation_generators-style A/B comparisons stay possible.
+  /// half for other thieves). Alignment, SparseLU `for`, Health `for`,
+  /// Sort's merge phases and FFT's scatter and butterfly loops use this to
+  /// replace one-descriptor-per-iteration generation. Off: those kernels
+  /// fall back to per-iteration spawning, so bench_ablation_generators-style
+  /// A/B comparisons stay possible. Code that calls spawn_range directly
+  /// (perfbench's server mix) is not gated by it.
   bool use_range_tasks = true;
 
   // -- topology-aware scheduling layer (topology.hpp / steal_policy.hpp) ----
@@ -311,12 +313,8 @@ struct SchedulerConfig {
   /// RT_NODE_HINTS=0/1.
   bool use_node_work_hints = env_flag("RT_NODE_HINTS", true);
 
-  /// Adaptive grain for rt::spawn_range (grain.hpp): the runtime retunes a
-  /// grain estimate from observed split density vs iterations executed
-  /// (dense splits grow it, starvation under a coarse schedule shrinks it)
-  /// and spawn_range uses max(caller grain, estimate) — so kernels'
-  /// hardcoded grain=1 becomes a runtime decision. Off: the caller's grain
-  /// is used verbatim (the PR-2 behaviour).
+  /// No effect: spawn_range runs the caller's grain. Deleted with the next
+  /// benchmark upkeep, which drops the perfbench lines that still name it.
   bool use_adaptive_grain = true;
 
   /// Owner-return descriptor pools (task.hpp TaskPool), on every topology:
@@ -359,13 +357,7 @@ struct SchedulerConfig {
   /// assert bit-equal outputs). Also settable via RT_TASKGRAPH_REPLAY=0/1.
   bool use_taskgraph_replay = env_flag("RT_TASKGRAPH_REPLAY", true);
 
-  /// Key grain estimates by spawn site (rt::RangeSite tags threaded through
-  /// spawn_range): each tagged call site converges its own GrainController
-  /// in a small fixed-size table, so a workload mixing cheap-iteration and
-  /// expensive-iteration ranges (SparseLU phases vs Alignment rows) does
-  /// not force one compromise estimate. Untagged sites — and every site
-  /// when this is off — share the scheduler-global controller (the PR-3
-  /// behaviour). Only meaningful with use_adaptive_grain.
+  /// No effect, like use_adaptive_grain; deleted with it.
   bool use_site_grain = true;
 
   // -- fault-tolerance layer (fault.hpp / scheduler cancellation) -----------

@@ -7,7 +7,6 @@
 #include "runtime/deque.hpp"       // IWYU pragma: export
 #include "runtime/fault.hpp"       // IWYU pragma: export
 #include "runtime/taskgraph.hpp"   // IWYU pragma: export
-#include "runtime/grain.hpp"       // IWYU pragma: export
 #include "runtime/pathology.hpp"   // IWYU pragma: export
 #include "runtime/region_ctx.hpp"  // IWYU pragma: export
 #include "runtime/scheduler.hpp"   // IWYU pragma: export

@@ -70,9 +70,7 @@ void Region::store_exception() noexcept {
 Scheduler::Scheduler(SchedulerConfig cfg)
     : cfg_(cfg),
       topo_(Topology::detect(cfg.num_threads == 0 ? 1u : cfg.num_threads,
-                             cfg.synthetic_topology)),
-      grain_table_(cfg.num_threads == 0 ? 1u : cfg.num_threads,
-                   cfg.use_site_grain) {
+                             cfg.synthetic_topology)) {
   if (cfg_.num_threads == 0) cfg_.num_threads = 1;
   cutoff_bound_ = resolve_cutoff_bound();
   fault_.parse(cfg_.fault_plan);
@@ -281,11 +279,6 @@ RegionStatus Scheduler::run_region(Region& r, std::chrono::milliseconds deadline
     if (eptr) std::rethrow_exception(eptr);
     return RegionStatus::completed;
   }
-
-  // Region-start grain reset (grain.hpp): retuned estimates drop back to
-  // their seeded base so a coarse grain learned on the previous region's
-  // workload cannot block this region's first splits.
-  if (cfg_.use_adaptive_grain) grain_table_.on_region_start();
 
   r.cancel_on_exception = cfg_.cancel_on_exception;
 
@@ -835,8 +828,7 @@ void Scheduler::execute_deferred(Worker& w, Task& t) {
     // the descriptor through the normal finish path WITHOUT running the
     // body. destroy_env still runs — the captured closure was constructed
     // and its members must destruct. Range tasks are exempt: they execute
-    // (RangeRunner stops at its first cancelled check) so their
-    // GrainController live-range gate always closes. The discard counts in
+    // (RangeRunner stops at its first cancelled check). The discard counts in
     // BOTH ledgers: the worker's (keeps the global executed + discarded ==
     // deferred invariant) and the request's.
     ++w.stats.tasks_discarded;
@@ -1409,12 +1401,6 @@ Task* Scheduler::find_work(Worker& w) {
       }
     }
     if (!parked) {
-      // Nothing local, parked or stealable anywhere: a starvation signal
-      // for the adaptive grain controllers (a coarse range schedule that
-      // cannot split is the classic way a team ends up here). Each
-      // controller's live-range gate scopes the note to the sites it
-      // concerns.
-      if (cfg_.use_adaptive_grain) grain_table_.note_hungry();
       ++w.stats.hungry_rounds;
       trace_record(w.ring, TraceEvent::hungry);
       return nullptr;
@@ -1453,7 +1439,6 @@ void Scheduler::install_snapshot_locked(bool live) {
     }
   }
   next->policy = make_steal_policy(cfg_, topo_, next->hints.get());
-  next->grain = &grain_table_;
   next->watchdog_ms = cfg_.watchdog_ms;
   next->watchdog_cancel = cfg_.watchdog_cancel;
 
@@ -1551,7 +1536,6 @@ void Scheduler::reconfigure_live(StealPolicyKind kind,
   }
   std::lock_guard<std::mutex> lock(reconf_mutex_);
   cfg_.steal_policy = kind;
-  if (tune.grain_base > 0) grain_table_.global().seed(tune.grain_base);
   if (tune.watchdog_ms != ~0u) cfg_.watchdog_ms = tune.watchdog_ms;
   if (tune.watchdog_cancel != 0) cfg_.watchdog_cancel = tune.watchdog_cancel == 2;
   install_snapshot_locked(/*live=*/true);

@@ -82,20 +82,17 @@
 //   or dies. Each round marks itself in a per-worker raid_seq, odd while
 //   it runs. A worker also remembers the last victim a steal succeeded
 //   from and tries it first (steals come in bursts from loaded workers).
-// * Policy layer: victim selection ORDER, steal-batch sizing and the
-//   range-split demand check are not decided here — steal_work probes the
-//   victims its StealPolicy (steal_policy.hpp) lists, with the batch cap the
-//   policy returns per victim, and RangeRunner asks the policy whether to
-//   split. The hierarchical policy consults the Topology (topology.hpp) to
+// * Policy layer: victim selection ORDER and steal-batch sizing are not
+//   decided here — steal_work probes the victims its StealPolicy
+//   (steal_policy.hpp) lists, with the batch cap the policy returns per
+//   victim. The hierarchical policy consults the Topology (topology.hpp) to
 //   prefer same-node victims and to shrink cross-node batches, and skips
 //   remote nodes whose NodeHints has-work word is clear (published by
 //   enqueue/steal-surplus, cleared on observed node-wide dryness, with a
 //   backoff round bounding staleness). With cfg.pin_workers each worker
 //   pins itself to its node's cpuset at region entry (affinity.hpp), so
-//   the topology map matches what the OS schedules; spawn_range grain is
-//   retuned at runtime per spawn site by the GrainTable (grain.hpp) when
-//   use_adaptive_grain is on, resetting to the seeded base at region start.
-//   The scheduler core only executes decisions.
+//   the topology map matches what the OS schedules. The scheduler core
+//   only executes decisions.
 // * Generator-side cache lines: a task that keeps spawning pre-charges its
 //   own state word with SpawnCharge::batch child slots in one RMW instead of
 //   one RMW per spawn (settled at every taskwait, barrier, scope join and
@@ -223,7 +220,6 @@
 #include "runtime/config.hpp"
 #include "runtime/deque.hpp"
 #include "runtime/fault.hpp"
-#include "runtime/grain.hpp"
 #include "runtime/region_ctx.hpp"
 #include "runtime/stats.hpp"
 #include "runtime/steal_policy.hpp"
@@ -308,17 +304,17 @@ struct Region {
 /// One immutable generation of every live-swappable scheduling-decision
 /// input: the steal/placement policy, the NodeHints it consults (lifetime
 /// owned HERE, not by the scheduler, so a hot swap retires hints and policy
-/// together), the grain-table view, and the watchdog tunables. Published by
-/// the Scheduler via an RCU-style pointer swap (Scheduler::snap_) and
-/// protected by per-worker epoch slots: a worker pins the current snapshot
-/// at the top of every find_work round and at every range-chunk boundary
+/// together), and the watchdog tunables. Published by the Scheduler via an
+/// RCU-style pointer swap (Scheduler::snap_) and protected by per-worker
+/// epoch slots: a worker pins the current snapshot at the top of every
+/// find_work round and at every range-chunk boundary
 /// (Scheduler::pin_snapshot — one seq_cst load + a pointer compare in the
 /// steady state, no lock anywhere), and reconfigure_live() retires the old
 /// generation only after every worker's slot has advanced past it or gone
 /// quiescent. Everything in here is immutable after publication except the
-/// interior atomics (hint words, grain estimates) — workers on the previous
-/// generation may act on stale ADVICE for at most one pin interval, which
-/// is safe: no conservation law depends on which policy routed a task.
+/// hint words' interior atomics — workers on the previous generation may
+/// act on stale ADVICE for at most one pin interval, which is safe: no
+/// conservation law depends on which policy routed a task.
 ///
 /// NOT in the snapshot, deliberately: Topology, the mailbox array and the
 /// team itself. Worker node ids cannot change while descriptors are in
@@ -340,11 +336,6 @@ struct PolicySnapshot {
   /// snapshot's whole lifetime: topology swaps destroy every snapshot
   /// between regions first) and `hints` above.
   std::unique_ptr<StealPolicy> policy;
-  /// Adaptive-grain view for this generation. Points at the scheduler's
-  /// GrainTable — grain state is all interior atomics, so a live retune
-  /// writes into the live generation (CAS/exchange in grain.hpp) rather
-  /// than copying the table per snapshot.
-  GrainTable* grain = nullptr;
   /// Watchdog tunables: the per-region monitor re-reads these every poll,
   /// so reconfigure_live can tighten or relax stall detection without
   /// restarting the region.
@@ -571,15 +562,6 @@ inline thread_local Worker* tls_worker = nullptr;
 void warn_last_region_status_race() noexcept;
 }
 
-// Declared in steal_policy.hpp (Worker was incomplete there); defined here
-// so the range hot loop's once-per-grain-chunk call inlines to a few loads.
-inline bool StealPolicy::should_split_range(Worker& w) const noexcept {
-  // Local queue dry == a steal (or this worker's own drain) just emptied
-  // it: somebody is hungry. A thief's first check after stealing a lone
-  // range always passes — its queue was empty, that is why it stole.
-  return w.queued_fewer_than(1);
-}
-
 class Scheduler {
  public:
   explicit Scheduler(SchedulerConfig cfg = {});
@@ -745,19 +727,6 @@ class Scheduler {
   /// drive it by setting the NodeHints words directly.
   [[nodiscard]] unsigned plan_range_placement(unsigned worker);
 
-  /// Adaptive grain state for spawn_range (see grain.hpp). Meaningful with
-  /// cfg.use_adaptive_grain; always constructed so tests can seed it.
-  [[nodiscard]] GrainTable& grain_table() noexcept { return grain_table_; }
-  /// The global (untagged-site) controller — the PR-3 accessor.
-  [[nodiscard]] GrainController& grain_controller() noexcept {
-    return grain_table_.global();
-  }
-  /// The controller serving a tagged spawn site (the one spawn_range uses
-  /// for ranges tagged with `site`).
-  [[nodiscard]] GrainController& grain_controller_for(RangeSite site) noexcept {
-    return grain_table_.for_site(site);
-  }
-
   /// Swap the steal policy and/or locality topology between regions. Never
   /// valid while a region runs — including the resident server region — and
   /// that is a CHECKED error: a live region raises std::logic_error
@@ -777,10 +746,6 @@ class Scheduler {
   /// Live-swappable tunables carried by reconfigure_live alongside the
   /// policy kind. Unset fields keep their current values.
   struct LiveTunables {
-    /// Reseed the global adaptive-grain controller's base AND current
-    /// estimate (GrainController::seed — writes land in the live
-    /// generation's atomics; <= 0 = keep).
-    std::int64_t grain_base = 0;
     /// Stall-watchdog poll threshold for regions whose monitor is armed;
     /// re-read from the snapshot every poll. ~0u = keep.
     std::uint32_t watchdog_ms = ~0u;
@@ -788,7 +753,7 @@ class Scheduler {
     std::uint32_t watchdog_cancel = 0;
   };
 
-  /// Hot-swap the steal policy (and optionally grain/watchdog tunables)
+  /// Hot-swap the steal policy (and optionally the watchdog tunables)
   /// WHILE regions run — including under TaskServer load. Publishes a new
   /// PolicySnapshot generation (policy + fresh NodeHints + tunables) via an
   /// RCU-style pointer swap, then blocks until every worker has either
@@ -1022,7 +987,6 @@ class Scheduler {
   /// active_steal_policy().
   std::atomic<std::uint8_t> active_kind_{0};
 
-  GrainTable grain_table_;
   std::uint32_t cutoff_bound_;  ///< resolve_cutoff_bound(), per team shape
   /// Pinning epoch: 0 = pinning disabled, otherwise bumped by reconfigure
   /// so workers re-pin at their next region entry (Worker::pin_seen).

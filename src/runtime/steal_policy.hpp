@@ -1,11 +1,10 @@
 // Pluggable steal/placement policies: every scheduling *decision* the
 // work-stealing core used to hardcode now flows through one of these
-// objects — victim selection order, steal-batch sizing, the range-split
-// demand check (which decides where split halves appear: published on the
-// splitter's own deque, they reach whichever thief the victim order sends
-// there first), and the hint-aware placement consultation
-// (place_range_half: whether a split half should instead be MAILED to an
-// idle remote node's RangeMailbox, sparing that node the cross-node steal).
+// objects — victim selection order, steal-batch sizing, and the hint-aware
+// placement consultation (place_range_half: whether a split half should be
+// MAILED to an idle remote node's RangeMailbox, sparing that node the
+// cross-node steal, instead of published on the splitter's own deque, where
+// it reaches whichever thief the victim order sends there first).
 //
 // One policy instance serves the whole team. Methods take the acting
 // Worker and mutate only that worker's state (last_victim, rng), so the
@@ -226,17 +225,6 @@ class StealPolicy {
     (void)w;
     return no_node;
   }
-
-  /// Range-split demand check: should the worker executing a range task
-  /// split its upper half off now? The rule — "my local queue is dry", the
-  /// state a steal leaves behind, so splits chase thief demand — is shared
-  /// by every policy (what differs per policy is WHO reaches the half
-  /// first, which the victim order already decides), so this is a
-  /// non-virtual policy-layer check: it runs once per grain chunk in the
-  /// range hot loop and must inline. Defined in scheduler.hpp, after
-  /// Worker. A future policy needing a different demand rule should
-  /// promote it to a virtual hook and eat the per-chunk dispatch then.
-  [[nodiscard]] bool should_split_range(Worker& w) const noexcept;
 
   [[nodiscard]] const Topology& topology() const noexcept { return topo_; }
 

@@ -9,8 +9,10 @@
 // spawn_range is the loop-style alternative to per-iteration task
 // generation: one descriptor stands for a whole iteration range and splits
 // on demand (see RangeDesc in task.hpp and the design note at the top of
-// scheduler.hpp). The Alignment, SparseLU `for` and Health `for` generators
-// use it when SchedulerConfig::use_range_tasks is on.
+// scheduler.hpp). With SchedulerConfig::use_range_tasks on, the Alignment,
+// SparseLU `for` and Health `for` generators, Sort's merge phases and FFT's
+// scatter and butterfly loops use it; perfbench's server mix calls it
+// directly.
 #pragma once
 
 #include <atomic>
@@ -20,7 +22,6 @@
 #include <vector>
 
 #include "runtime/scheduler.hpp"
-#include "runtime/steal_policy.hpp"
 
 namespace bots::rt {
 
@@ -150,12 +151,6 @@ template <class Body>
 struct RangeRunner {
   RangeDesc desc;
   Body body;
-  /// The spawn site's grain controller (grain.hpp; the global one for
-  /// untagged sites), null when use_adaptive_grain is off. Carried in the
-  /// closure so every half split off this range reports to the SAME
-  /// controller its site converges on — the per-site estimate would be
-  /// meaningless if splits leaked their stats to the global one.
-  GrainController* grain_ctrl = nullptr;
 
   void operator()() {
     Worker* w = tls_worker;  // range tasks only ever run deferred, in-region
@@ -165,58 +160,42 @@ struct RangeRunner {
     const std::int64_t grain = desc.grain;
     RegionCtx* ctx = w->current->ctx();  // this range task's request, if any
     const bool splittable = w->region->team_size > 1;
-    std::int64_t splits = 0;
-    std::int64_t executed = 0;
-    try {
-      while (lo < hi) {
-        // Cancellation boundary at every grain chunk: a cancelled region —
-        // or, in server mode, this range's cancelled request context —
-        // truncates the remainder right here, so range latency is bounded
-        // by one chunk, not the whole range. The descriptor still
-        // completes normally below (on_range_complete fires), which is why
-        // execute_deferred dispatches range tasks even after a cancel.
-        if (w->region->cancelled() || (ctx != nullptr && ctx->cancelled())) {
-          break;
-        }
-        // Whether to split is the steal policy's decision (the demand check
-        // lives next to victim selection: the policy knows who the half will
-        // feed — under the hierarchical policy, same-node thieves probe this
-        // deque first, so halves stay on-node while the node is hungry).
-        // Pinned fresh per chunk, not once per range: a long range must not
-        // hold one policy generation across its whole body, or a live
-        // reconfigure would stall on it — re-pinning here bounds swap
-        // latency to one grain chunk, the same cadence as cancellation.
-        if (splittable && hi - lo > grain &&
-            s.pin_snapshot(*w)->policy->should_split_range(*w)) {
+    while (lo < hi) {
+      // Cancellation boundary at every grain chunk: a cancelled region —
+      // or, in server mode, this range's cancelled request context —
+      // truncates the remainder right here, so range latency is bounded by
+      // one chunk, not the whole range. execute_deferred dispatches range
+      // tasks even after a cancel, so this check is what drops the rest.
+      if (w->region->cancelled() || (ctx != nullptr && ctx->cancelled())) {
+        break;
+      }
+      // Split when this worker's local queue is dry: a steal (or this
+      // worker's own drain) just emptied it, so somebody is hungry. A
+      // thief's first check after stealing a lone range always passes.
+      // The snapshot is pinned fresh per chunk, not once per range: a long
+      // range must not hold one policy generation across its whole body,
+      // or a live reconfigure would stall on it. Re-pinning here bounds
+      // swap latency to one grain chunk, the same cadence as cancellation;
+      // publish_range_half places the half by the pinned snapshot.
+      if (splittable && hi - lo > grain) {
+        s.pin_snapshot(*w);
+        if (w->queued_fewer_than(1)) {
           const std::int64_t mid = lo + (hi - lo) / 2;
           if (split_off(*w, mid, hi)) {
-            ++splits;
             hi = mid;
             continue;
           }
           // Split refused (descriptor drought): keep the whole remainder
           // and chew through it serially — degraded but correct.
         }
-        const std::int64_t stop = lo + grain < hi ? lo + grain : hi;
-        for (std::int64_t i = lo; i < stop; ++i) body(i);
-        executed += stop - lo;
-        lo = stop;
-        w->note_progress();  // one watchdog tick per chunk peeled
-        // Per-request stall signal: a chunk dispatches no task, so the
-        // request's executed count does not move for it.
-        if (ctx != nullptr) ctx->note_progress(w->id);
       }
-    } catch (...) {
-      // The descriptor still completes (the scheduler captures the
-      // exception into the region): report it, or live_ranges_ leaks and
-      // wedges the starvation signal open for the scheduler's lifetime.
-      if (grain_ctrl != nullptr) {
-        grain_ctrl->on_range_complete(executed, splits);
-      }
-      throw;
-    }
-    if (grain_ctrl != nullptr) {
-      grain_ctrl->on_range_complete(executed, splits);
+      const std::int64_t stop = lo + grain < hi ? lo + grain : hi;
+      for (std::int64_t i = lo; i < stop; ++i) body(i);
+      lo = stop;
+      w->note_progress();  // one watchdog tick per chunk peeled
+      // Per-request stall signal: a chunk dispatches no task, so the
+      // request's executed count does not move for it.
+      if (ctx != nullptr) ctx->note_progress(w->id);
     }
   }
 
@@ -229,10 +208,10 @@ struct RangeRunner {
   /// while a remote node's has-work word is clear is mailed to that idle
   /// node's RangeMailbox instead, sparing it the cross-node steal.
   /// False when no descriptor could be obtained (degradation ladder): the
-  /// caller keeps the whole remainder. Counters — and the grain
-  /// controller's live-range census — move only after the allocation
-  /// succeeds, so a refused split leaves no phantom split/deferred counts
-  /// behind and the accounting invariants hold on the degraded path.
+  /// caller keeps the whole remainder. Counters move only after the
+  /// allocation succeeds, so a refused split leaves no phantom
+  /// split/deferred counts behind and the accounting invariants hold on
+  /// the degraded path.
   bool split_off(Worker& w, std::int64_t lo2, std::int64_t hi2) {
     Scheduler& s = *w.sched;
     Task* self = w.current;
@@ -246,8 +225,7 @@ struct RangeRunner {
     trace_record(w.ring, TraceEvent::split,
                  static_cast<std::uint64_t>(hi2 - lo2));
     trace_record(w.ring, TraceEvent::spawn, w.current->depth(), 1);
-    if (grain_ctrl != nullptr) grain_ctrl->range_published();
-    t->init_env(RangeRunner<Body>{{lo2, hi2, desc.grain}, body, grain_ctrl});
+    t->init_env(RangeRunner<Body>{{lo2, hi2, desc.grain}, body});
     w.stats.env_bytes += t->env_bytes();
     Task* parent = self->parent();
     if (parent != nullptr) parent->add_child_ref();
@@ -264,24 +242,15 @@ struct RangeRunner {
 }  // namespace detail
 
 /// Create ONE splittable task for the whole iteration range [lo, hi):
-/// `body(i)` runs exactly once per i. `grain` is the iteration budget
-/// between split checks and the threshold below which a remainder is never
-/// split (a split halves the remainder, so descriptors can cover as few as
-/// (grain + 1) / 2 iterations). With SchedulerConfig::use_adaptive_grain
-/// (the default) the caller's grain is only a FLOOR: the effective grain is
-/// max(grain, controller estimate), so the hardcoded `grain = 1` the loop
-/// kernels pass becomes a runtime decision retuned from observed split
-/// density and starvation (grain.hpp). `site` selects WHICH estimate: a
-/// tagged call site converges its own controller in the scheduler's
-/// GrainTable — mixing cheap- and expensive-iteration range shapes no
-/// longer fights over one estimate — while the default-constructed site
-/// (and SchedulerConfig::use_site_grain off) uses the global controller.
-/// Joins like any task: a taskwait in the spawner (or any barrier) covers
-/// the range and every half split off it. Outside a region the range runs
-/// serially in place.
+/// `body(i)` runs exactly once per i. `grain` is the caller's: it is both
+/// the chunk peeled between split checks and the threshold below which a
+/// remainder is never split (a split halves the remainder, so descriptors
+/// can cover as few as (grain + 1) / 2 iterations). Joins like any task: a
+/// taskwait in the spawner (or any barrier) covers the range and every half
+/// split off it. Outside a region the range runs serially in place.
 template <class Body>
-void spawn_range(RangeSite site, Tiedness tied, std::int64_t lo,
-                 std::int64_t hi, std::int64_t grain, Body body) {
+void spawn_range(Tiedness tied, std::int64_t lo, std::int64_t hi,
+                 std::int64_t grain, Body body) {
   if (hi - lo <= 0) return;
   if (grain < 1) grain = 1;
   Worker* w = detail::tls_worker;
@@ -290,12 +259,6 @@ void spawn_range(RangeSite site, Tiedness tied, std::int64_t lo,
     return;
   }
   Scheduler& s = *w->sched;
-  GrainController* ctrl = nullptr;
-  if (s.config().use_adaptive_grain) {
-    ctrl = &s.grain_controller_for(site);
-    const std::int64_t tuned = ctrl->grain();
-    if (tuned > grain) grain = tuned;
-  }
   ++w->stats.tasks_created;
   ++w->stats.range_tasks;
   TaskStorage storage{};
@@ -303,8 +266,7 @@ void spawn_range(RangeSite site, Tiedness tied, std::int64_t lo,
   if (t == nullptr) {
     // Degradation ladder bottom: run the whole range serially on this
     // frame. Counted as cutoff_inlined (creation-side invariant) plus the
-    // degradation marker; the controller never saw a published range, so
-    // its live-range census stays balanced.
+    // degradation marker.
     ++w->stats.tasks_cutoff_inlined;
     ++w->stats.tasks_degraded_inline;
     detail::run_inline_fast(*w, tied, [lo, hi, &body] {
@@ -312,14 +274,12 @@ void spawn_range(RangeSite site, Tiedness tied, std::int64_t lo,
     });
     return;
   }
-  // Publication census and the deferred count move only now, after the
-  // descriptor exists (the degraded path above must leave no phantoms).
-  if (ctrl != nullptr) ctrl->range_published();
+  // The deferred count moves only now, after the descriptor exists (the
+  // degraded path above must leave no phantoms).
   ++w->stats.tasks_deferred;
   trace_record(w->ring, TraceEvent::spawn,
                w->current->depth() + 1 + w->inline_depth, 1);
-  t->init_env(
-      detail::RangeRunner<Body>{{lo, hi, grain}, std::move(body), ctrl});
+  t->init_env(detail::RangeRunner<Body>{{lo, hi, grain}, std::move(body)});
   w->stats.env_bytes += t->env_bytes();
   Task* parent = w->current;
   Scheduler::charge_parent(*w);
@@ -330,15 +290,9 @@ void spawn_range(RangeSite site, Tiedness tied, std::int64_t lo,
 }
 
 template <class Body>
-void spawn_range(Tiedness tied, std::int64_t lo, std::int64_t hi,
-                 std::int64_t grain, Body body) {
-  spawn_range(RangeSite{}, tied, lo, hi, grain, std::move(body));
-}
-
-template <class Body>
 void spawn_range(std::int64_t lo, std::int64_t hi, std::int64_t grain,
                  Body body) {
-  spawn_range(RangeSite{}, Tiedness::tied, lo, hi, grain, std::move(body));
+  spawn_range(Tiedness::tied, lo, hi, grain, std::move(body));
 }
 
 }  // namespace bots::rt

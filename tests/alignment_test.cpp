@@ -154,34 +154,6 @@ TEST(Alignment, RangeTasksCreateTenfoldFewerDescriptorsSameOutput) {
       << "range generator lost its descriptor advantage";
 }
 
-TEST(Alignment, AdaptiveGrainStabilizesAtOrAboveSeedGrain) {
-  // Tentpole acceptance: on the Alignment range workload the adaptive
-  // grain controller must settle at a stable grain >= the hardcoded seed
-  // value (1) while every region still verifies against the serial scores.
-  // With 16 iterations per region, a retune window (1024 iterations) closes
-  // every 64 regions, so the tail of an 80-region run sits strictly between
-  // retunes: the estimate observed there must be constant.
-  const al::Params p = al::params_for(core::InputClass::test);
-  const auto seqs = al::make_input(p);
-  const auto ref = al::run_serial(p, seqs);
-  rt::SchedulerConfig cfg{.num_threads = 4};
-  cfg.use_range_tasks = true;
-  cfg.use_adaptive_grain = true;
-  rt::Scheduler sched(cfg);
-  std::int64_t tail_grain = -1;
-  for (int round = 0; round < 80; ++round) {
-    const auto scores = al::run_parallel(p, seqs, sched, {rt::Tiedness::tied});
-    ASSERT_EQ(scores, ref) << "round " << round;
-    const std::int64_t g = sched.grain_controller().grain();
-    ASSERT_GE(g, 1) << "round " << round;
-    if (round >= 70) {
-      if (tail_grain < 0) tail_grain = g;
-      ASSERT_EQ(g, tail_grain) << "grain still moving at round " << round;
-    }
-  }
-  EXPECT_GE(tail_grain, 1);
-}
-
 TEST(Alignment, ProfileRowShape) {
   const auto row = al::profile_row(core::InputClass::test);
   EXPECT_EQ(row.potential_tasks, 120u);  // C(16,2)

@@ -1,5 +1,5 @@
 // Live reconfiguration tests (PR 9): epoch/RCU hot-swap of the steal
-// policy, grain base and watchdog tunables UNDER running regions
+// policy and watchdog tunables UNDER running regions
 // (Scheduler::reconfigure_live), without the global stop reconfigure()
 // requires.
 //
@@ -199,17 +199,13 @@ TEST(LiveReconf, SnapshotVersionAndActiveKindTrackSwaps) {
   EXPECT_EQ(s.active_steal_policy(), rt::StealPolicyKind::random);
 }
 
-TEST(LiveReconf, TunablesSwapGrainAndWatchdog) {
-  rt::SchedulerConfig cfg = clean_cfg(4);
-  cfg.use_adaptive_grain = true;
-  rt::Scheduler s(cfg);
+TEST(LiveReconf, TunablesSwapWatchdog) {
+  rt::Scheduler s(clean_cfg(4));
   rt::Scheduler::LiveTunables tune;
-  tune.grain_base = 32;
   tune.watchdog_ms = 5000;
   tune.watchdog_cancel = 1;  // report-only
   s.reconfigure_live(rt::StealPolicyKind::last_victim, tune);
-  // The swap reseeds the live grain generation; regions still compute the
-  // right answers with the retuned floor.
+  // Regions still compute the right answers under the swapped generation.
   std::atomic<std::int64_t> sum{0};
   s.run_single([&] {
     rt::spawn_range(0, 10000, 1,

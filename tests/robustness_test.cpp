@@ -606,11 +606,10 @@ TEST(Teardown, RegionReentryAfterCancelledRegion) {
   expect_accounting_balanced(clean.stats);
 }
 
-TEST(Teardown, CancelledRangeRegionKeepsGrainGateClosed) {
-  // A published range must complete (truncated) even under cancellation —
-  // the GrainController live-range gate would otherwise wedge the NEXT
-  // region's starvation signal. Run a cancelled range region, then a full
-  // one, and require the second to finish correctly.
+TEST(Teardown, CancelledRangeRegionLeavesTheNextRegionWhole) {
+  // A published range completes (truncated) under cancellation. Run a
+  // cancelled range region, then a full one, and require the second to
+  // finish correctly.
   rt::SchedulerConfig cfg;
   cfg.num_threads = 4;
   rt::Scheduler s(cfg);

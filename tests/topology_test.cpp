@@ -822,7 +822,6 @@ TEST(HintPlacement, RedirectsHalvesToTheIdleNodeWithExactCoverage) {
   rt::SchedulerConfig cfg =
       policy_cfg(4, rt::StealPolicyKind::hierarchical, "2x2");
   cfg.cutoff = rt::CutoffPolicy::none;
-  cfg.use_adaptive_grain = false;  // keep every split check eligible
   ASSERT_TRUE(cfg.use_hint_placement);
   rt::Scheduler s(cfg);
   constexpr std::int64_t n = 20000;

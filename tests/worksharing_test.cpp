@@ -153,10 +153,6 @@ TEST(RangeSpawn, BodiesMaySpawnOrdinaryTasks) {
   EXPECT_EQ(inner.load(), 200);
 }
 
-// ---------------------------------------------------------------------------
-// Adaptive grain (GrainController): convergence in both directions.
-// ---------------------------------------------------------------------------
-
 TEST(RangeSpawn, HintPlacementPreservesCoverageAndKnobOffNeverMails) {
   // Range split publication now flows through the scheduler's placement
   // layer (publish_range_half): on a multi-node hierarchical box a half
@@ -193,253 +189,31 @@ TEST(RangeSpawn, HintPlacementPreservesCoverageAndKnobOffNeverMails) {
   }
 }
 
-TEST(AdaptiveGrain, GrowsUnderDenseSplits) {
-  // grain = 1 on a trivial-body range fragments it into descriptors that
-  // average far fewer than GrainController::grow_floor iterations (the
-  // owner's own split chain alone guarantees splits every region): within a
-  // few retune windows the controller must raise the grain.
-  rt::SchedulerConfig cfg;
-  cfg.num_threads = 2;
-  cfg.use_adaptive_grain = true;
-  rt::Scheduler s(cfg);
-  ASSERT_EQ(s.grain_controller().grain(), 1);
-  std::atomic<std::int64_t> sum{0};
-  for (int round = 0; round < 200 && s.grain_controller().grain() == 1;
-       ++round) {
-    sum.store(0, std::memory_order_relaxed);
-    s.run_single([&sum] {
-      rt::spawn_range(0, 512, 1, [&sum](std::int64_t i) {
-        sum.fetch_add(i, std::memory_order_relaxed);
-      });
-    });
-    ASSERT_EQ(sum.load(), 511L * 512 / 2) << "round " << round;
-  }
-  EXPECT_GT(s.grain_controller().grain(), 1);
-  EXPECT_GT(s.grain_controller().retunes(), 0u);
-}
-
-TEST(AdaptiveGrain, ShrinksUnderStarvation) {
-  // A grain coarser than the whole range cannot split (hi - lo never
-  // exceeds it): the team starves behind one serial executor while the
-  // descriptors stay far above starve_ceiling iterations — the controller
-  // must walk the grain back down.
+TEST(RangeSpawn, RangeNoLargerThanItsGrainNeverSplits) {
+  // The caller's grain is the split floor: a range no larger than its grain
+  // stays a single descriptor however hungry the team is.
   rt::SchedulerConfig cfg;
   cfg.num_threads = 4;
-  cfg.use_adaptive_grain = true;
   rt::Scheduler s(cfg);
-  const std::int64_t coarse = std::int64_t{1} << 15;
-  s.grain_controller().seed(coarse);
-  for (int round = 0; round < 40 && s.grain_controller().grain() >= coarse;
-       ++round) {
-    s.run_single([] {
-      rt::spawn_range(0, 8192, 1, [](std::int64_t) {
-        // Starvation is only counted while the range is live, so the
-        // serial execution must last long enough (tens of ms) for the
-        // three starving workers to report their empty find_work rounds
-        // even on a single-cpu box.
-        for (volatile int spin = 0; spin < 5000; ++spin) {
-        }
-      });
-    });
-  }
-  EXPECT_LT(s.grain_controller().grain(), coarse);
-}
-
-TEST(AdaptiveGrain, CallerGrainStaysAFloorAndKnobOffIsVerbatim) {
-  {
-    // Adaptive ON: the controller can only coarsen beyond the caller's
-    // grain, never refine below it — a range no larger than the caller's
-    // grain must stay a single descriptor even with the estimate at 1.
-    rt::SchedulerConfig cfg;
-    cfg.num_threads = 4;
-    cfg.use_adaptive_grain = true;
-    rt::Scheduler s(cfg);
-    ASSERT_EQ(s.grain_controller().grain(), 1);
-    std::int64_t sum = 0;
-    rt::SingleGate gate(s.num_workers());
-    s.run_all([&](unsigned) {
-      rt::single_nowait(gate, [&] {
-        rt::spawn_range(0, 3000, 4000, [&sum](std::int64_t i) { sum += i; });
-      });
-    });
-    EXPECT_EQ(sum, 2999L * 3000 / 2);
-    EXPECT_EQ(s.stats().total.range_splits, 0u);
-    EXPECT_EQ(s.stats().total.tasks_deferred, 1u);
-  }
-  {
-    // Adaptive OFF: the runtime must not touch the caller's grain and the
-    // controller must never learn (no retunes, estimate pinned at 1).
-    rt::SchedulerConfig cfg;
-    cfg.num_threads = 2;
-    cfg.use_adaptive_grain = false;
-    rt::Scheduler s(cfg);
-    std::atomic<std::int64_t> hits{0};
-    for (int round = 0; round < 10; ++round) {
-      s.run_single([&hits] {
-        rt::spawn_range(0, 2000, 1, [&hits](std::int64_t) {
-          hits.fetch_add(1, std::memory_order_relaxed);
-        });
-      });
-    }
-    EXPECT_EQ(hits.load(), 10 * 2000);
-    EXPECT_EQ(s.grain_controller().grain(), 1);
-    EXPECT_EQ(s.grain_controller().retunes(), 0u);
-  }
-}
-
-TEST(AdaptiveGrain, RecoversWhenGrainOutgrowsChunkGranularRanges) {
-  // Ratchet regression: ranges with FEW, HEAVY iterations (Sort's merge
-  // phases: ~200 chunk-merges per range) average far under grow_floor
-  // iterations per descriptor, so growth can push the global grain past
-  // the whole range size — after which no merge range can ever split. The
-  // shrink rule must be reachable in exactly that state (hungry workers,
-  // zero splits), whatever the iteration count; an absolute-iteration
-  // shrink gate would leave the grain stuck and the phases serial forever.
-  rt::SchedulerConfig cfg;
-  cfg.num_threads = 4;
-  cfg.use_adaptive_grain = true;
-  rt::Scheduler s(cfg);
-  const std::int64_t stuck = 1024;  // far above the 200-iteration ranges
-  s.grain_controller().seed(stuck);
-  for (int round = 0; round < 60 && s.grain_controller().grain() >= stuck;
-       ++round) {
-    s.run_single([] {
-      rt::spawn_range(0, 200, 1, [](std::int64_t) {
-        for (volatile int spin = 0; spin < 40000; ++spin) {
-        }
-      });
-    });
-  }
-  EXPECT_LT(s.grain_controller().grain(), stuck)
-      << "grain ratcheted above chunk-granular ranges with no way back";
-}
-
-TEST(AdaptiveGrain, RetunedGrainResetsAtRegionStart) {
-  // Cross-region bleed regression (two-phase A/B): phase A retunes the
-  // global estimate up on cheap dense ranges; phase B runs a SMALL range in
-  // a fresh region. Without the region-start reset the phase-A estimate
-  // exceeds phase B's whole range, no split is ever eligible, and phase B
-  // serializes behind one worker — the poisoned-first-splits bug.
-  rt::SchedulerConfig cfg;
-  cfg.num_threads = 2;
-  cfg.use_adaptive_grain = true;
-  rt::Scheduler s(cfg);
-  std::atomic<std::int64_t> sink{0};
-  // Phase A: many small back-to-back ranges (each popped onto an otherwise
-  // dry deque, so the owner's own split chain keeps the windows dense);
-  // the estimate reliably retunes to 4 within the first region.
-  for (int round = 0; round < 400 && s.grain_controller().grain() <= 2;
-       ++round) {
-    s.run_single([&sink] {
-      for (int k = 0; k < 64; ++k) {
-        rt::spawn_range(0, 512, 1, [&sink](std::int64_t i) {
-          sink.fetch_add(i, std::memory_order_relaxed);
-        });
-        rt::taskwait();
-      }
-    });
-  }
-  ASSERT_GT(s.grain_controller().grain(), 2)
-      << "phase A never retuned the estimate above the phase-B range";
-  // Phase B: a 3-iteration range. With the reset the effective grain is
-  // back at the caller floor (1), so the executor's very first split check
-  // fires (3 > 1, its queue is empty). Poisoned, 3 <= grain means the
-  // split condition hi - lo > grain can never hold and phase B serializes.
-  s.reset_stats();
-  s.run_single([] {
-    rt::spawn_range(0, 3, 1, [](std::int64_t) {
-      for (volatile int spin = 0; spin < 20000; ++spin) {
-      }
-    });
-  });
-  EXPECT_GT(s.stats().total.range_splits, 0u)
-      << "phase A's converged grain bled into phase B's first splits";
-  EXPECT_LE(s.grain_controller().grain(), 2)
-      << "the estimate should have restarted from its base this region";
-}
-
-TEST(AdaptiveGrain, SeededBaseSurvivesTheRegionStartReset) {
-  // seed() sets the BASE the estimate resets to — a warm start is meant to
-  // survive regions, only retuned state is discarded.
-  rt::SchedulerConfig cfg;
-  cfg.num_threads = 1;
-  cfg.use_adaptive_grain = true;
-  rt::Scheduler s(cfg);
-  s.grain_controller().seed(64);
   std::int64_t sum = 0;
-  s.run_single([&sum] {
-    rt::spawn_range(0, 100, 1, [&sum](std::int64_t i) { sum += i; });
-  });
-  EXPECT_EQ(sum, 99L * 100 / 2);
-  EXPECT_EQ(s.grain_controller().grain(), 64);
-}
-
-TEST(AdaptiveGrain, PerSiteGrainConvergesIndependently) {
-  // Two sites mixed in the SAME regions: a cheap dense-splitting range
-  // (the shape that grows an estimate) and a chunk-granular range whose
-  // caller grain equals its size (it can never split, so its estimate must
-  // stay at the floor). One shared estimate cannot serve both; the
-  // per-site table must converge them to different values.
-  constexpr rt::RangeSite kCheapSite{"test/cheap"};
-  constexpr rt::RangeSite kChunkySite{"test/chunky"};
-  rt::SchedulerConfig cfg;
-  cfg.num_threads = 2;
-  cfg.use_adaptive_grain = true;
-  ASSERT_TRUE(cfg.use_site_grain);
-  rt::Scheduler s(cfg);
-  std::atomic<std::int64_t> sink{0};
-  // Spawn order matters for split density: the chunky range is newest, so
-  // the owner pops it first (it cannot split) and then runs the cheap
-  // range on a dry deque, where every split check is eligible — both
-  // ranges are in flight between the same spawn and taskwait.
-  for (int round = 0;
-       round < 400 && s.grain_controller_for(kCheapSite).grain() == 1;
-       ++round) {
-    s.run_single([&sink] {
-      for (int k = 0; k < 8; ++k) {
-        rt::spawn_range(kCheapSite, rt::Tiedness::tied, 0, 512, 1,
-                        [&sink](std::int64_t i) {
-                          sink.fetch_add(i, std::memory_order_relaxed);
-                        });
-        rt::spawn_range(kChunkySite, rt::Tiedness::tied, 0, 32, 32,
-                        [&sink](std::int64_t i) {
-                          sink.fetch_add(i, std::memory_order_relaxed);
-                        });
-        rt::taskwait();
-      }
+  rt::SingleGate gate(s.num_workers());
+  s.run_all([&](unsigned) {
+    rt::single_nowait(gate, [&] {
+      rt::spawn_range(0, 3000, 4000, [&sum](std::int64_t i) { sum += i; });
     });
-  }
-  EXPECT_GT(s.grain_controller_for(kCheapSite).grain(), 1)
-      << "the dense-splitting site never grew its own estimate";
-  EXPECT_EQ(s.grain_controller_for(kChunkySite).grain(), 1)
-      << "the chunk-granular site's estimate was dragged by the cheap site";
-  EXPECT_EQ(s.grain_controller().grain(), 1)
-      << "tagged sites must not leak stats into the global controller";
-  // Observability: both sites (and the global estimate) show up in the
-  // table description benches record.
-  const std::string desc = s.grain_table().describe();
-  EXPECT_NE(desc.find("global="), std::string::npos);
-  EXPECT_NE(desc.find("test/cheap="), std::string::npos);
-  EXPECT_NE(desc.find("test/chunky="), std::string::npos);
+  });
+  EXPECT_EQ(sum, 2999L * 3000 / 2);
+  EXPECT_EQ(s.stats().total.range_splits, 0u);
+  EXPECT_EQ(s.stats().total.tasks_deferred, 1u);
 }
 
-TEST(AdaptiveGrain, SiteGrainKnobOffSharesTheGlobalController) {
-  constexpr rt::RangeSite kSite{"test/shared"};
-  rt::SchedulerConfig cfg;
-  cfg.num_threads = 1;
-  cfg.use_adaptive_grain = true;
-  cfg.use_site_grain = false;
-  rt::Scheduler s(cfg);
-  EXPECT_EQ(&s.grain_controller_for(kSite), &s.grain_controller());
-}
-
-TEST(AdaptiveGrain, ThrowingRangeBodyStillReportsCompletion) {
-  // A range body that throws must not leak the controller's live-range
-  // count: a wedged count keeps the starvation signal armed forever and
-  // re-opens the spurious-shrink hole the live gating exists to close.
+TEST(RangeSpawn, ThrowingBodyLeavesTheLedgerBalanced) {
+  // A range body that throws still retires its descriptor and every half
+  // split off it: the exception reaches the caller, the task ledger
+  // balances, and the same scheduler keeps running ranges exactly once per
+  // iteration afterwards.
   rt::SchedulerConfig cfg;
   cfg.num_threads = 2;
-  cfg.use_adaptive_grain = true;
   rt::Scheduler s(cfg);
   EXPECT_THROW(
       {
@@ -450,17 +224,19 @@ TEST(AdaptiveGrain, ThrowingRangeBodyStillReportsCompletion) {
         });
       },
       std::runtime_error);
-  EXPECT_EQ(s.grain_controller().live_ranges(), 0)
-      << "a throwing range body leaked its completion report";
-  // And the scheduler (controller included) keeps working afterwards.
-  std::atomic<std::int64_t> hits{0};
+  const rt::WorkerStats t = s.stats().total;
+  EXPECT_EQ(t.tasks_executed + t.tasks_discarded, t.tasks_deferred);
+  constexpr std::int64_t n = 500;
+  std::vector<std::atomic<std::uint8_t>> hits(n);
   s.run_single([&hits] {
-    rt::spawn_range(0, 500, 1, [&hits](std::int64_t) {
-      hits.fetch_add(1, std::memory_order_relaxed);
+    rt::spawn_range(0, n, 1, [&hits](std::int64_t i) {
+      hits[static_cast<std::size_t>(i)].fetch_add(1,
+                                                  std::memory_order_relaxed);
     });
   });
-  EXPECT_EQ(hits.load(), 500);
-  EXPECT_EQ(s.grain_controller().live_ranges(), 0);
+  for (std::int64_t i = 0; i < n; ++i) {
+    ASSERT_EQ(hits[static_cast<std::size_t>(i)].load(), 1u) << "i=" << i;
+  }
 }
 
 // ---------------------------------------------------------------------------
